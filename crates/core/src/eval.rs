@@ -18,46 +18,6 @@ use crate::parallel::{rng_for, streams, ModelTemplate, ParallelRunner, RawSteps}
 use crate::serve;
 use crate::variation::VariationConfig;
 
-/// Which forward-pass implementation the Monte-Carlo variation trials run
-/// on. Both paths consume the per-trial RNG streams identically, so they
-/// see the same noise and (ties aside, which argmax breaks identically)
-/// produce the same accuracy — the graph-free path is simply faster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InferPath {
-    /// The compiled allocation-free runtime (`ptnc-infer`) — the default.
-    GraphFree,
-    /// The reverse-mode autograd graph — kept for A/B validation.
-    Autograd,
-}
-
-impl InferPath {
-    /// Reads the `PNC_INFER` environment variable: unset or `graphfree`
-    /// selects the compiled runtime, `autograd` the design-time graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognized value, so typos fail loudly instead of
-    /// silently benchmarking the wrong path.
-    pub fn from_env() -> Self {
-        match std::env::var("PNC_INFER") {
-            Err(_) => InferPath::GraphFree,
-            Ok(v) => match v.to_ascii_lowercase().as_str() {
-                "" | "graphfree" | "graph-free" => InferPath::GraphFree,
-                "autograd" => InferPath::Autograd,
-                other => panic!("PNC_INFER must be `graphfree` or `autograd`, got `{other}`"),
-            },
-        }
-    }
-
-    /// Short label for telemetry and reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            InferPath::GraphFree => "graphfree",
-            InferPath::Autograd => "autograd",
-        }
-    }
-}
-
 /// Converts a multivariate dataset into a time-major sequence of
 /// `[N, channels]` tensors plus the label vector — for multi-sensor pTPBs
 /// (paper Fig. 4 shows a six-input block).
@@ -191,32 +151,12 @@ pub fn evaluate_with_runner(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn variation_trials(
-    model: &PrintedModel,
-    steps: &[Tensor],
-    labels: &[usize],
-    config: &VariationConfig,
-    trials: usize,
-    seed: u64,
-    runner: &ParallelRunner,
-) -> f64 {
-    match InferPath::from_env() {
-        InferPath::GraphFree => {
-            variation_trials_graphfree(model, steps, labels, config, trials, seed, runner)
-        }
-        InferPath::Autograd => {
-            variation_trials_autograd(model, steps, labels, config, trials, seed, runner)
-        }
-    }
-}
-
 /// Monte-Carlo variation trials on the compiled graph-free runtime: the
 /// model is frozen once, each trial compiles a cheap perturbed instance
 /// from its seed-split noise sample and scores the whole batch through
 /// preallocated buffers.
 #[allow(clippy::too_many_arguments)]
-fn variation_trials_graphfree(
+fn variation_trials(
     model: &PrintedModel,
     steps: &[Tensor],
     labels: &[usize],
@@ -252,10 +192,11 @@ fn variation_trials_graphfree(
 /// each trial rebuilds a thread-local tensor replica and runs the full
 /// design-time forward pass.
 ///
-/// This is the reference implementation the compiled runtime is validated
-/// against (`PNC_INFER=autograd`, the `graphfree_and_autograd_paths_agree`
-/// test). Production evaluation uses the graph-free path, which produces
-/// the same accuracies without tape-node allocation.
+/// This is the test oracle the compiled runtime is validated against
+/// (the `graphfree_and_autograd_paths_agree` test, `tests/infer_parity.rs`
+/// and the benchmark's output checks). Evaluation always runs the
+/// graph-free path, which produces the same accuracies without tape-node
+/// allocation.
 #[allow(clippy::too_many_arguments)]
 pub fn variation_trials_autograd(
     model: &PrintedModel,
@@ -365,15 +306,9 @@ mod tests {
         let (steps, labels) = dataset_to_steps(&ds);
         let config = VariationConfig::paper_default();
         let runner = ParallelRunner::serial();
-        let fast = variation_trials_graphfree(&model, &steps, &labels, &config, 3, 5, &runner);
+        let fast = variation_trials(&model, &steps, &labels, &config, 3, 5, &runner);
         let slow = variation_trials_autograd(&model, &steps, &labels, &config, 3, 5, &runner);
         assert_eq!(fast, slow, "A/B paths must score identically");
-    }
-
-    #[test]
-    fn infer_path_labels() {
-        assert_eq!(InferPath::GraphFree.label(), "graphfree");
-        assert_eq!(InferPath::Autograd.label(), "autograd");
     }
 
     #[test]

@@ -72,9 +72,7 @@ pub use ptnc_faultsim as faultsim;
 /// train-evaluate script needs, including the dataset registry and the
 /// deterministic [`parallel::ParallelRunner`] fan-out layer.
 pub mod prelude {
-    pub use crate::eval::{
-        dataset_to_steps, evaluate, evaluate_with_runner, EvalCondition, InferPath,
-    };
+    pub use crate::eval::{dataset_to_steps, evaluate, evaluate_with_runner, EvalCondition};
     pub use crate::hardware::{DeviceCount, HardwareReport};
     pub use crate::models::{FilterOrder, ForwardMode, PrintedModel};
     pub use crate::parallel::{rng_for, seed_split, streams, ParallelRunner};

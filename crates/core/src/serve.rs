@@ -5,9 +5,9 @@
 //! this module owns the conversion in both directions: a live
 //! [`PrintedModel`] or an on-disk [`ModelSnapshot`] compiles into an
 //! [`InferModel`], and a design-time [`VariationConfig`] maps onto the
-//! runtime's [`VariationDistribution`]. The frozen model reproduces the
-//! autograd forward pass operation-for-operation (see the `infer_parity`
-//! integration tests).
+//! runtime's [`VariationDistribution`]. The frozen model matches the
+//! autograd forward pass within 1e-9 (see the `infer_parity` integration
+//! tests).
 //!
 //! The one entry point is [`ServeModel`]: a builder that compiles from a
 //! live model, a decoded snapshot, snapshot JSON, or a snapshot file, and

@@ -20,7 +20,8 @@
 //! ## The execution modes
 //!
 //! * **Batched** — [`InferModel::run_batch`] processes `B` sequences at
-//!   once with batch-major inner loops (the serving fast path).
+//!   once with filter-major inner loops over the batch lanes (the serving
+//!   fast path).
 //! * **Streaming** — [`StreamState`] advances one timestep per call for
 //!   online sensor input; feeding a sequence step by step produces exactly
 //!   the logits of the batched run.
@@ -43,11 +44,14 @@
 //!
 //! ## Numerical parity
 //!
-//! The forward recurrences replicate the autograd kernels
-//! operation-for-operation (same accumulation order in the crossbar
-//! mat-mul, same `a⊙state + b⊙input` filter step, same `ptanh` transfer),
-//! so frozen logits match the autograd forward to ≈1 ulp — well within the
-//! 1e-9 parity bound the integration tests assert. [`VariationSample`]
+//! The `f64` forward keeps the autograd kernels' per-element arithmetic
+//! (same accumulation order in the crossbar mat-mul, same
+//! `a⊙state + b⊙input` filter step) and swaps only `f64::tanh` in `ptanh`
+//! for a vectorizable one within 4 ulp, so frozen logits match the
+//! autograd forward within the 1e-9 bound the integration tests assert.
+//! Every lane runs the same operations in the same order, so results are
+//! bitwise identical across batch width, chunking, thread count and
+//! served vs direct calls. [`VariationSample`]
 //! draws its multipliers in exactly the order the design-time model
 //! samples its `ModelNoise`, so a seeded trial sees identical noise on
 //! both paths.
@@ -65,6 +69,7 @@ mod model;
 mod precision;
 mod session;
 mod stream;
+mod tanh;
 mod variation;
 
 pub use error::InferError;

@@ -1,12 +1,25 @@
 //! The compiled inference model: flat weight buffers, precompiled filter
 //! coefficients, and the allocation-free batched forward pass.
 //!
+//! The `f64` kernel runs filter-major: every buffer is `[filter][lane]`
+//! (filter states `[stage][filter][lane]`), so the per-filter coefficients
+//! are loop-invariant scalars and the inner loops run over contiguous
+//! batch lanes and vectorize. The per-element arithmetic is the autograd
+//! forward's: the crossbar sums `x·θ_w` in ascending input order, adds
+//! `θ_b` and divides by `G`; the filter stages update
+//! `v ← a·v + b·input` in a chain, so the state *is* the wire-format stage
+//! voltages; and `ptanh` uses [`tanh_f64`], within 4 ulp of `f64::tanh`.
+//! Logits match the autograd forward within 1e-9 and are bitwise
+//! identical across batch width, chunking, thread count and served vs
+//! direct calls.
+//!
 //! Every request-shaped entry point ([`InferModel::run_batch_into`] and
 //! friends) validates its input and returns [`InferError`] — the serving
 //! layer sheds malformed requests instead of panicking.
 
 use crate::error::InferError;
 use crate::precision::{KernelF32, KernelI32, Precision, ScratchF32, ScratchI32};
+use crate::tanh::tanh_f64;
 use crate::variation::{LayerVariation, VariationSample};
 
 /// Architecture and operating constants of a frozen 2-layer printed
@@ -275,70 +288,112 @@ impl CompiledLayer {
         }
     }
 
-    /// One timestep through the layer: crossbar → filter stages → ptanh.
-    /// `src` is `[batch × fan_in]`; the activation lands in
-    /// `act[..batch × fan_out]`. `states` holds one `[batch × fan_out]`
-    /// buffer per stage and is updated in place.
+    /// One timestep through the layer, filter-major: crossbar → filter
+    /// stages → ptanh. `x` is `[fan_in][batch]`, the activation lands in
+    /// `act[..fan_out × batch]` as `[fan_out][batch]`, and `states` holds
+    /// the stage voltages `[stage][filter][lane]`, updated in place.
+    ///
+    /// Every lane sees the same operations in the same order, with no
+    /// `mul_add`, so the vectorized lane loops and their scalar remainders
+    /// round identically and a lane's result does not depend on the
+    /// batch width. A one-lane batch is already laid out like a lane-major
+    /// one, so its stage and ptanh loops run flat over the filters instead
+    /// of paying a loop per one-element row.
     fn step(
         &self,
-        src: &[f64],
+        x: &[f64],
         batch: usize,
         xb: &mut [f64],
-        states: &mut [Vec<f64>],
+        col: &mut [f64],
+        states: &mut [f64],
         act: &mut [f64],
     ) {
-        let (i_dim, o_dim) = (self.fan_in, self.fan_out);
-        let xb = &mut xb[..batch * o_dim];
-        // Crossbar: y = (x·θ_w + θ_b) / G, accumulated over fan_in in
-        // ascending order (the mat-mul kernel's order).
-        for bi in 0..batch {
-            let row = &src[bi * i_dim..(bi + 1) * i_dim];
-            let out_row = &mut xb[bi * o_dim..(bi + 1) * o_dim];
-            out_row.fill(0.0);
-            for (i, &xv) in row.iter().enumerate() {
-                let w_row = &self.w[i * o_dim..(i + 1) * o_dim];
-                for (o, &wv) in out_row.iter_mut().zip(w_row) {
-                    *o += xv * wv;
+        let n = self.fan_out * batch;
+        let xb = &mut xb[..n];
+        self.crossbar(x, batch, xb, col);
+        // Filter stages: v ← a·v + b·input, chained; stage s reads the
+        // voltage stage s−1 just produced.
+        for s in 0..self.a.len() {
+            let (prev, rest) = states.split_at_mut(s * n);
+            let input: &[f64] = if s == 0 { xb } else { &prev[(s - 1) * n..] };
+            let coeff = self.a[s].iter().zip(&self.bc[s]);
+            let state = &mut rest[..n];
+            if batch == 1 {
+                for ((v, &iv), (&av, &bv)) in state.iter_mut().zip(input).zip(coeff) {
+                    *v = av * *v + bv * iv;
                 }
+                continue;
             }
-            for ((o, &bj), &gj) in out_row.iter_mut().zip(&self.b).zip(&self.g) {
-                *o = (*o + bj) / gj;
-            }
-        }
-        // Filter stages: state ← a⊙state + b⊙input, chained. Lane rows are
-        // pre-split with `chunks_exact` so the inner loop zips coefficient
-        // slices instead of indexing `idx % o_dim` — identical arithmetic,
-        // no modulo or bounds checks in the hot loop.
-        for s in 0..states.len() {
-            let (prev, rest) = states.split_at_mut(s);
-            let state = &mut rest[0][..batch * o_dim];
-            let input: &[f64] = if s == 0 {
-                xb
-            } else {
-                &prev[s - 1][..batch * o_dim]
-            };
-            let (a_s, b_s) = (&self.a[s][..o_dim], &self.bc[s][..o_dim]);
-            for (srow, irow) in state.chunks_exact_mut(o_dim).zip(input.chunks_exact(o_dim)) {
-                let coeff = a_s.iter().zip(b_s.iter());
-                for ((st, &iv), (&av, &bv)) in srow.iter_mut().zip(irow).zip(coeff) {
-                    *st = av * *st + bv * iv;
+            let rows = state.chunks_exact_mut(batch).zip(input.chunks_exact(batch));
+            for ((vrow, irow), (&av, &bv)) in rows.zip(coeff) {
+                for (v, &iv) in vrow.iter_mut().zip(irow) {
+                    *v = av * *v + bv * iv;
                 }
             }
         }
         // ptanh: η₁ + η₂·tanh((V − η₃)·η₄).
-        let last = &states[states.len() - 1][..batch * o_dim];
-        let (e1, e2, e3, e4) = (&self.eta[0], &self.eta[1], &self.eta[2], &self.eta[3]);
-        for (arow, lrow) in act[..batch * o_dim]
-            .chunks_exact_mut(o_dim)
-            .zip(last.chunks_exact(o_dim))
-        {
-            let eta = e1.iter().zip(e2.iter()).zip(e3.iter().zip(e4.iter()));
-            for ((out, &lv), ((&h1, &h2), (&h3, &h4))) in arow.iter_mut().zip(lrow).zip(eta) {
-                *out = h1 + h2 * ((lv - h3) * h4).tanh();
+        let last = &states[(self.a.len() - 1) * n..][..n];
+        let [e1, e2, e3, e4] = &self.eta;
+        let eta = e1.iter().zip(e2).zip(e3.iter().zip(e4));
+        if batch == 1 {
+            for ((o, &v), ((&e1, &e2), (&e3, &e4))) in act[..n].iter_mut().zip(last).zip(eta) {
+                *o = e1 + e2 * tanh_f64((v - e3) * e4);
+            }
+            return;
+        }
+        let rows = act[..n]
+            .chunks_exact_mut(batch)
+            .zip(last.chunks_exact(batch));
+        for ((arow, vrow), ((&e1, &e2), (&e3, &e4))) in rows.zip(eta) {
+            for (o, &v) in arow.iter_mut().zip(vrow) {
+                *o = e1 + e2 * tanh_f64((v - e3) * e4);
+            }
+        }
+    }
+
+    /// Crossbar `y = (Σᵢ x·θ_w + θ_b) / G`, summed over `i` ascending (the
+    /// mat-mul kernel's order) from `0.0`. Whole blocks of [`XBAR_BLOCK`]
+    /// lanes keep each output's sum in registers across the fan-in. The
+    /// remaining lanes go one at a time through `col`, a contiguous
+    /// `[fan_out]` accumulator, so every output of the lane sums at once.
+    fn crossbar(&self, x: &[f64], batch: usize, xb: &mut [f64], col: &mut [f64]) {
+        let (fi, fo) = (self.fan_in, self.fan_out);
+        let blocked = batch - batch % XBAR_BLOCK;
+        for (j, out) in xb.chunks_exact_mut(batch).enumerate() {
+            let (bj, gj) = (self.b[j], self.g[j]);
+            for (k, block) in out[..blocked].chunks_exact_mut(XBAR_BLOCK).enumerate() {
+                let mut acc = [0.0; XBAR_BLOCK];
+                for i in 0..fi {
+                    let wv = self.w[i * fo + j];
+                    let xs = &x[i * batch + k * XBAR_BLOCK..][..XBAR_BLOCK];
+                    for (a, &xv) in acc.iter_mut().zip(xs) {
+                        *a += xv * wv;
+                    }
+                }
+                for (o, a) in block.iter_mut().zip(acc) {
+                    *o = (a + bj) / gj;
+                }
+            }
+        }
+        let col = &mut col[..fo];
+        for lane in blocked..batch {
+            col.fill(0.0);
+            for (i, w_row) in self.w.chunks_exact(fo).enumerate() {
+                let xv = x[i * batch + lane];
+                for (c, &wv) in col.iter_mut().zip(w_row) {
+                    *c += xv * wv;
+                }
+            }
+            let coeff = self.b.iter().zip(&self.g);
+            for (j, (&c, (&bj, &gj))) in col.iter().zip(coeff).enumerate() {
+                xb[j * batch + lane] = (c + bj) / gj;
             }
         }
     }
 }
+
+/// Lanes per crossbar register block.
+const XBAR_BLOCK: usize = 8;
 
 /// Preallocated, reusable working memory for one batch size. Create once
 /// with [`InferModel::make_scratch`] and reuse across forwards — the hot
@@ -359,22 +414,39 @@ pub struct Scratch {
 
 #[derive(Debug, Clone)]
 enum ScratchRepr {
-    F64(ScratchF64),
+    F64(SoaScratchF64),
     F32(ScratchF32),
     I32(ScratchI32),
 }
 
-/// The reference backend's buffers, lane-major like the autograd kernels.
+/// The `f64` backend's buffers, filter-major (`[filter][lane]`, a
+/// structure of arrays) like the `f32` kernel's.
 #[derive(Debug, Clone)]
-struct ScratchF64 {
-    /// Crossbar output buffer, `[batch × max_width]`.
+struct SoaScratchF64 {
+    /// Model input transposed to `[input_dim][batch]`.
+    x0: Vec<f64>,
+    /// Crossbar output, `[max_width][batch]`.
     xb: Vec<f64>,
-    /// Hidden-layer activation, `[batch × hidden]`.
+    /// Crossbar accumulator for lanes outside the register blocks,
+    /// `[max_width]`.
+    col: Vec<f64>,
+    /// Hidden-layer activation, `[hidden][batch]`.
     hidden_act: Vec<f64>,
-    /// Class-layer activation, `[batch × classes]`.
+    /// Class-layer activation, `[classes][batch]`.
     class_act: Vec<f64>,
-    /// Filter states, `[layer][stage][batch × fan_out]`.
-    states: [Vec<Vec<f64>>; 2],
+    /// Stage voltages per layer, `[stage][filter][lane]`. Row `w` of a
+    /// layer is wire-format entry `w` of every lane's state.
+    states: [Vec<f64>; 2],
+}
+
+impl SoaScratchF64 {
+    /// Each lane's wire-format state values, in `[layer][stage][filter]`
+    /// order: the `lane` column of every state row.
+    fn lane_values(&self, lane: usize, batch: usize) -> impl Iterator<Item = &f64> {
+        self.states
+            .iter()
+            .flat_map(move |st| st[lane..].iter().step_by(batch))
+    }
 }
 
 impl Scratch {
@@ -398,12 +470,7 @@ impl Scratch {
     /// many `f64`s between submissions.
     pub fn lane_state_len(&self) -> usize {
         match &self.repr {
-            ScratchRepr::F64(s) => s
-                .states
-                .iter()
-                .flatten()
-                .map(|stage| stage.len() / self.batch)
-                .sum(),
+            ScratchRepr::F64(s) => s.states.iter().map(|st| st.len() / self.batch).sum(),
             ScratchRepr::F32(s) => s.lane_state_len(),
             ScratchRepr::I32(s) => s.lane_state_len(),
         }
@@ -440,12 +507,8 @@ impl Scratch {
         self.check_lane(lane, out.len())?;
         match &self.repr {
             ScratchRepr::F64(s) => {
-                let mut at = 0;
-                for stage in s.states.iter().flatten() {
-                    let fan_out = stage.len() / self.batch;
-                    out[at..at + fan_out]
-                        .copy_from_slice(&stage[lane * fan_out..(lane + 1) * fan_out]);
-                    at += fan_out;
+                for (o, &v) in out.iter_mut().zip(s.lane_values(lane, self.batch)) {
+                    *o = v;
                 }
             }
             ScratchRepr::F32(s) => s.export_lane_state(lane, self.batch, out),
@@ -468,12 +531,12 @@ impl Scratch {
         let batch = self.batch;
         match &mut self.repr {
             ScratchRepr::F64(s) => {
-                let mut at = 0;
-                for stage in s.states.iter_mut().flatten() {
-                    let fan_out = stage.len() / batch;
-                    stage[lane * fan_out..(lane + 1) * fan_out]
-                        .copy_from_slice(&state[at..at + fan_out]);
-                    at += fan_out;
+                let slots = s
+                    .states
+                    .iter_mut()
+                    .flat_map(|st| st[lane..].iter_mut().step_by(batch));
+                for (slot, &v) in slots.zip(state) {
+                    *slot = v;
                 }
             }
             ScratchRepr::F32(s) => s.import_lane_state(lane, batch, state),
@@ -502,12 +565,9 @@ impl Scratch {
             ScratchRepr::F64(s) => {
                 let mut sum_sq = 0.0;
                 let mut n = 0usize;
-                for stage in s.states.iter().flatten() {
-                    let fan_out = stage.len() / self.batch;
-                    for &v in &stage[lane * fan_out..(lane + 1) * fan_out] {
-                        sum_sq += v * v;
-                        n += 1;
-                    }
+                for &v in s.lane_values(lane, self.batch) {
+                    sum_sq += v * v;
+                    n += 1;
                 }
                 if n == 0 {
                     0.0
@@ -527,11 +587,7 @@ impl Scratch {
     /// construction (saturating arithmetic), so it always reports `true`.
     pub fn states_are_finite(&self) -> bool {
         match &self.repr {
-            ScratchRepr::F64(s) => s
-                .states
-                .iter()
-                .flatten()
-                .all(|stage| stage.iter().all(|v| v.is_finite())),
+            ScratchRepr::F64(s) => s.states.iter().flatten().all(|v| v.is_finite()),
             ScratchRepr::F32(s) => s.states_are_finite(),
             ScratchRepr::I32(_) => true,
         }
@@ -552,9 +608,9 @@ pub struct InferModel {
 }
 
 /// The compiled execution backend. `F64` runs [`CompiledLayer::step`]
-/// directly; the reduced-precision kernels are compiled *from* the f64
-/// layers (a single quantization point), so `perturbed()` requantizes
-/// for free after recompiling the layers.
+/// on the compiled layers themselves; the reduced-precision kernels are
+/// compiled *from* them (a single quantization point), so `perturbed()`
+/// requantizes for free after recompiling the layers.
 #[derive(Debug, Clone)]
 enum Backend {
     F64,
@@ -742,13 +798,15 @@ impl InferModel {
         let repr = match &self.backend {
             Backend::F64 => {
                 let max_w = self.spec.hidden.max(self.spec.classes);
-                ScratchRepr::F64(ScratchF64 {
-                    xb: vec![0.0; batch * max_w],
-                    hidden_act: vec![0.0; batch * self.spec.hidden],
-                    class_act: vec![0.0; batch * self.spec.classes],
+                ScratchRepr::F64(SoaScratchF64 {
+                    x0: vec![0.0; self.spec.input_dim * batch],
+                    xb: vec![0.0; max_w * batch],
+                    col: vec![0.0; max_w],
+                    hidden_act: vec![0.0; self.spec.hidden * batch],
+                    class_act: vec![0.0; self.spec.classes * batch],
                     states: std::array::from_fn(|l| {
                         let fan_out = self.spec.layer_dims()[l].1;
-                        vec![vec![0.0; batch * fan_out]; self.spec.stages]
+                        vec![0.0; self.spec.stages * fan_out * batch]
                     }),
                 })
             }
@@ -796,11 +854,11 @@ impl InferModel {
     pub(crate) fn reset_states(&self, scratch: &mut Scratch) {
         match (&self.backend, &mut scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
+                let batch = scratch.batch;
                 for (layer, states) in self.layers.iter().zip(sc.states.iter_mut()) {
-                    for (s, state) in states.iter_mut().enumerate() {
-                        for row in state.chunks_exact_mut(layer.fan_out) {
-                            row.copy_from_slice(&layer.v0[s]);
-                        }
+                    let v0 = layer.v0.iter().flatten();
+                    for (row, &v) in states.chunks_exact_mut(batch).zip(v0) {
+                        row.fill(v);
                     }
                 }
             }
@@ -818,15 +876,16 @@ impl InferModel {
         let batch = scratch.batch;
         match (&self.backend, &mut scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
-                let (st0, st1) = sc.states.split_at_mut(1);
-                self.layers[0].step(src, batch, &mut sc.xb, &mut st0[0], &mut sc.hidden_act);
-                self.layers[1].step(
-                    &sc.hidden_act,
-                    batch,
-                    &mut sc.xb,
-                    &mut st1[0],
-                    &mut sc.class_act,
-                );
+                let dim = self.spec.input_dim;
+                for (i, row) in sc.x0.chunks_exact_mut(batch).enumerate() {
+                    for (lane, o) in row.iter_mut().enumerate() {
+                        *o = src[lane * dim + i];
+                    }
+                }
+                let [st0, st1] = &mut sc.states;
+                let (xb, col) = (&mut sc.xb, &mut sc.col);
+                self.layers[0].step(&sc.x0, batch, xb, col, st0, &mut sc.hidden_act);
+                self.layers[1].step(&sc.hidden_act, batch, xb, col, st1, &mut sc.class_act);
             }
             (Backend::F32(k), ScratchRepr::F32(sc)) => k.advance(src, sc, batch),
             (Backend::I32(k), ScratchRepr::I32(sc)) => k.advance(src, sc, batch),
@@ -839,8 +898,11 @@ impl InferModel {
     pub(crate) fn read_logits(&self, scratch: &Scratch, out: &mut [f64]) {
         match (&self.backend, &scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
-                for (o, &v) in out.iter_mut().zip(&sc.class_act) {
-                    *o = v * self.spec.logit_scale;
+                let classes = self.spec.classes;
+                for (j, row) in sc.class_act.chunks_exact(scratch.batch).enumerate() {
+                    for (lane, &v) in row.iter().enumerate() {
+                        out[lane * classes + j] = v * self.spec.logit_scale;
+                    }
                 }
             }
             (Backend::F32(k), ScratchRepr::F32(sc)) => {
@@ -1007,6 +1069,33 @@ mod tests {
             .collect()
     }
 
+    /// Parameters in the ranges a trained model has: RC near Δt and
+    /// ptanh arguments of order one, so no stage saturates and a one-ulp
+    /// difference anywhere reaches the logits.
+    fn varied_params(spec: &InferSpec) -> Vec<Vec<f64>> {
+        let per_layer = spec.params_per_layer();
+        let filters = 3..3 + 2 * spec.stages;
+        spec.param_lens()
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| {
+                let role = k % per_layer;
+                (0..n)
+                    .map(|i| {
+                        let u = ((k * 7 + i * 13) as f64 * 0.61).sin();
+                        match role {
+                            0..=2 => u,                                  // θ_w, θ_b, θ_d
+                            r if filters.contains(&r) => -2.3 + 0.5 * u, // log R, log C
+                            r if r == per_layer - 3 => 1.0 + 0.2 * u,    // η₂
+                            r if r == per_layer - 1 => 2.0 + u,          // η₄
+                            _ => 0.1 * u,                                // η₁, η₃
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     #[test]
     fn build_validates_shapes() {
         let spec = tiny_spec();
@@ -1048,30 +1137,46 @@ mod tests {
         ));
     }
 
+    /// Lane `k` of a `B`-lane run equals that sequence run alone, bitwise,
+    /// at widths that land lanes in the crossbar's register blocks, in
+    /// their scalar remainder and in the vector loops' tails.
     #[test]
     fn batched_equals_per_sequence() {
-        let spec = tiny_spec();
-        let model = InferModel::build(spec, &tiny_params(&spec)).unwrap();
-        // 3 sequences of 8 steps, time-major.
         let t_len = 8;
-        let batch = 3;
-        let series: Vec<Vec<f64>> = (0..batch)
-            .map(|b| (0..t_len).map(|t| ((b + t) as f64 * 0.37).sin()).collect())
-            .collect();
-        let mut steps = vec![0.0; t_len * batch];
-        for (t, chunk) in steps.chunks_exact_mut(batch).enumerate() {
-            for (b, slot) in chunk.iter_mut().enumerate() {
-                *slot = series[b][t];
+        for stages in 1..=3 {
+            let spec = InferSpec {
+                input_dim: 2,
+                hidden: 3,
+                stages,
+                ..tiny_spec()
+            };
+            let model = InferModel::build(spec, &varied_params(&spec)).unwrap();
+            for batch in [1, 2, 3, 31, 32, 33] {
+                // Lane b's sequence, time-major `[t][input_dim]`.
+                let series: Vec<Vec<f64>> = (0..batch)
+                    .map(|b| {
+                        (0..t_len * spec.input_dim)
+                            .map(|k| ((b * 7 + k) as f64 * 0.37).sin())
+                            .collect()
+                    })
+                    .collect();
+                let mut steps = Vec::with_capacity(t_len * batch * spec.input_dim);
+                for t in 0..t_len {
+                    for s in &series {
+                        steps.extend_from_slice(&s[t * spec.input_dim..][..spec.input_dim]);
+                    }
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let batched = model.run_batch(&steps, batch).unwrap();
+                for (b, s) in series.iter().enumerate() {
+                    let single = model.run_batch(s, 1).unwrap();
+                    assert_eq!(
+                        bits(&single),
+                        bits(&batched[b * spec.classes..(b + 1) * spec.classes]),
+                        "order {stages}: lane {b} of {batch} diverged from its solo run"
+                    );
+                }
             }
-        }
-        let batched = model.run_batch(&steps, batch).unwrap();
-        for (b, s) in series.iter().enumerate() {
-            let single = model.run_batch(s, 1).unwrap();
-            assert_eq!(
-                single,
-                batched[b * spec.classes..(b + 1) * spec.classes].to_vec(),
-                "sequence {b} diverged from its batched run"
-            );
         }
     }
 

@@ -1,11 +1,13 @@
 //! Reduced-precision inference backends: `f32` and `i32` fixed-point
 //! compilations of the crossbar → SO-LF → ptanh pipeline.
 //!
-//! The `f64` reference path in [`model`](crate::model) replicates the
-//! autograd kernels operation-for-operation and is pinned bitwise by the
-//! parity tests; it executes the SO-LF bank as a chain of first-order
-//! stages in lane-major (`[batch][filter]`) layout. The backends here
-//! trade that bit-level fidelity for throughput and hardware fidelity:
+//! The `f64` reference path in [`model`](crate::model) runs filter-major
+//! too, but keeps the autograd kernels' per-element arithmetic: the SO-LF
+//! bank as a chain of first-order stages whose state is the wire-format
+//! stage voltages, and the crossbar divided by `G` after summing. Its only
+//! departure is a vectorizable `tanh` within 4 ulp of `f64::tanh`, so it
+//! matches autograd within 1e-9. The backends here trade that fidelity
+//! for throughput and hardware fidelity:
 //!
 //! * **Biquad reformulation.** A cascade of first-order RC sections
 //!   `v_n = a·v_{n−1} + b·x_n` collapses algebraically into the canonical
@@ -129,11 +131,14 @@ impl std::fmt::Display for QFormat {
 }
 
 /// Which arithmetic an [`InferModel`](crate::InferModel) compiles its
-/// kernels in. `F64` is the bitwise-pinned reference; `F32` and `I32`
-/// are the throughput/hardware-fidelity backends of this module.
+/// kernels in. `F64` is the reference; `F32` and `I32` are the
+/// throughput/hardware-fidelity backends of this module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// The reference path: replicates autograd arithmetic exactly.
+    /// The reference path: filter-major direct-form kernels that match
+    /// the autograd forward within 1e-9 (its `tanh` is within 4 ulp of
+    /// `f64::tanh`) and are bitwise identical across batch width,
+    /// chunking, thread count and served vs direct calls.
     #[default]
     F64,
     /// Single-precision SoA kernels with a polynomial `tanh`.

@@ -5,10 +5,12 @@
 //! export_session`) just the same — under a counting global allocator.
 //!
 //! This lives in its own test binary because `#[global_allocator]` is
-//! process-wide.
+//! process-wide. The allocator counts only allocations made by a thread
+//! inside its own [`count_allocs`] window, so tests running in parallel
+//! on sibling threads never leak into each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::serve::ServeModel;
@@ -18,13 +20,36 @@ use ptnc_tensor::init;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised with no destructor: reading them never
+    // allocates, so the allocator itself can consult them.
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
+fn record_allocation() {
+    // `try_with` fails only during thread teardown, outside any window.
+    let _ = MEASURING.try_with(|on| {
+        if on.get() {
+            ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        }
+    });
+}
+
+/// Runs `f` and returns how many allocations this thread made inside it.
+fn count_allocs(f: impl FnOnce()) -> u64 {
+    ALLOCATIONS.with(|n| n.set(0));
+    MEASURING.with(|on| on.set(true));
+    f();
+    MEASURING.with(|on| on.set(false));
+    ALLOCATIONS.with(Cell::get)
+}
+
+// SAFETY: delegates directly to `System`; the counter is a thread-local
 // side effect and does not affect allocation behavior.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         System.alloc(layout)
     }
 
@@ -33,7 +58,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -73,11 +98,11 @@ fn steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
     // Warm up once (lazy thread-locals, first-use buffers), then measure.
     round(&mut mb);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..32 {
-        round(&mut mb);
-    }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    count_allocs(|| {
+        for _ in 0..32 {
+            round(&mut mb);
+        }
+    })
 }
 
 #[test]
@@ -140,11 +165,11 @@ fn session_steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
     // Warm up once (lazy thread-locals, first-use buffers), then measure.
     round(&mut mb, &mut sessions, 0);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for k in 0..32 {
-        round(&mut mb, &mut sessions, (k % 2) * cfg.max_batch);
-    }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    count_allocs(|| {
+        for k in 0..32 {
+            round(&mut mb, &mut sessions, (k % 2) * cfg.max_batch);
+        }
+    })
 }
 
 #[test]

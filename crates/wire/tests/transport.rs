@@ -6,7 +6,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
@@ -225,9 +225,18 @@ fn drain_finishes_inflight_work_and_says_going_away() {
             client.submit("t", &window)
         })
     };
-    // Let the request reach the scheduler, then start draining while it
-    // is (very likely) still inside the batch window.
-    std::thread::sleep(Duration::from_millis(10));
+    // Start draining once the server has read the request frame, so the
+    // drain lands while the request is in flight (usually still inside
+    // the batch window). A fixed sleep raced the accept loop's 10 ms
+    // poll: a drain before the accept reset the connection instead.
+    let read_by = Instant::now() + Duration::from_secs(5);
+    while wire.stats().frames_read == 0 {
+        assert!(
+            Instant::now() < read_by,
+            "request frame never reached the server"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     wire.begin_shutdown();
     let completed = inflight
         .join()
