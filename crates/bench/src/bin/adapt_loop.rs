@@ -43,7 +43,7 @@ use adapt_pnc::serve::ServeModel;
 use adapt_pnc::training::{train, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
 use ptnc_adapt::{AdaptConfig, AdaptController, DetectorConfig, RefitConfig};
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{env_usize, print_row, print_rule, with_run_manifest};
 use ptnc_datasets::preprocess::Preprocess;
 use ptnc_datasets::{benchmark_by_name, Dataset, LabeledSeries};
 use ptnc_serve::{BatchConfig, ModelRegistry, ReloadOutcome, Server};
@@ -55,15 +55,6 @@ const SEED: u64 = 11;
 const OBS_PER_ROUND: usize = 8;
 /// Windows captured into the replay reservoir per round.
 const CAPTURE_PER_ROUND: usize = 16;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 struct Workload {
     streams: usize,

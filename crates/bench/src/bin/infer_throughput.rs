@@ -21,57 +21,22 @@
 //! graph-free path allocates per forward or the batched path falls below
 //! 1.5x autograd throughput.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adapt_pnc::models::{FilterOrder, PrintedModel};
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::serve;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{env_usize, print_row, print_rule, with_run_manifest};
 use ptnc_tensor::{init, Tensor};
 
-/// System allocator wrapped with an allocation counter, so the harness can
-/// report per-forward allocation counts for each path.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: ptnc_bench::CountingAlloc = ptnc_bench::CountingAlloc;
 
 struct Workload {
     seqs: usize,
     steps: usize,
     hidden: usize,
     classes: usize,
-}
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
 }
 
 impl Workload {
@@ -102,13 +67,13 @@ fn measure(
     mut body: impl FnMut(),
 ) -> PathResult {
     body(); // warm-up: first-touch allocations (scratch, graph caches)
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = ptnc_bench::allocations();
     let clock = Instant::now();
     for _ in 0..forwards {
         body();
     }
     let elapsed = clock.elapsed().as_secs_f64().max(1e-9);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = ptnc_bench::allocations() - alloc_start;
     PathResult {
         name,
         seqs_per_sec: (forwards * seqs_per_call) as f64 / elapsed,

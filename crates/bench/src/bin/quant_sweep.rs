@@ -28,8 +28,6 @@
 //! requires f32 to clear 1.5x the f64 timestep throughput and the best
 //! i32 Q-format to sit within 0.5 pp of f64 mean accuracy.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use adapt_pnc::eval::dataset_to_steps;
@@ -40,47 +38,14 @@ use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::serve::ServeModel;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{env_usize, mean, print_row, print_rule, selected_specs, with_run_manifest};
 use ptnc_tensor::init;
 
-/// System allocator wrapped with an allocation counter, so the harness can
-/// prove every backend's steady-state forward is allocation-free.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: ptnc_bench::CountingAlloc = ptnc_bench::CountingAlloc;
 
 const SEED: u64 = 0;
 const SWEEP_FRAC_BITS: [u32; 4] = [12, 16, 20, 24];
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 struct Workload {
     smoke: bool,
@@ -151,7 +116,7 @@ fn measure_backend(
     engine
         .run_batch_into(steps, wl.batch, &mut scratch, &mut out)
         .expect("buffers sized above"); // warm-up: first-touch allocations
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = ptnc_bench::allocations();
     let clock = Instant::now();
     for _ in 0..wl.forwards {
         engine
@@ -159,7 +124,7 @@ fn measure_backend(
             .expect("buffers sized above");
     }
     let elapsed = clock.elapsed().as_secs_f64().max(1e-9);
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = ptnc_bench::allocations() - alloc_start;
     let (max_abs_logit_err, argmax_agreement) = match reference {
         None => (0.0, 1.0),
         Some(base) => {

@@ -30,7 +30,6 @@
 //! spans/gauges go to the `serve` telemetry scope when
 //! `PNC_TELEMETRY=<path>` is set.
 
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -38,48 +37,15 @@ use std::time::{Duration, Instant};
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
 use adapt_pnc::serve::ServeModel;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{env_usize, print_row, print_rule, with_run_manifest};
 use ptnc_serve::{
     BatchConfig, MicroBatcher, ModelRegistry, ReloadOutcome, ReloadPolicy, Server, ServingError,
     SessionId,
 };
 use ptnc_tensor::init;
 
-/// System allocator wrapped with an allocation counter, so the harness can
-/// report per-request and per-forward allocation counts.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
-// side effect and does not affect allocation behavior.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
+static GLOBAL: ptnc_bench::CountingAlloc = ptnc_bench::CountingAlloc;
 
 const DIM: usize = 3;
 const CLASSES: usize = 4;
@@ -149,11 +115,11 @@ fn forward_allocs(engine: &adapt_pnc::infer::InferModel, cfg: &BatchConfig, t: u
         assert!(mb.lane_logits(0).iter().all(|v| v.is_finite()));
     };
     round(&mut mb); // warm-up
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ptnc_bench::allocations();
     for _ in 0..ROUNDS {
         round(&mut mb);
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ROUNDS as f64
+    (ptnc_bench::allocations() - before) as f64 / ROUNDS as f64
 }
 
 /// Steady-state allocations per resident-session round (`begin →
@@ -182,11 +148,11 @@ fn session_forward_allocs(
         assert!(mb.lane_logits(0).iter().all(|v| v.is_finite()));
     };
     round(&mut mb, &mut sessions); // warm-up
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ptnc_bench::allocations();
     for _ in 0..ROUNDS {
         round(&mut mb, &mut sessions);
     }
-    (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / ROUNDS as f64
+    (ptnc_bench::allocations() - before) as f64 / ROUNDS as f64
 }
 
 struct LoadResult {
@@ -204,7 +170,7 @@ struct LoadResult {
 fn drive_load(server: &Server, reg: &Arc<ModelRegistry>, wl: &Workload) -> LoadResult {
     let completed = Arc::new(AtomicU64::new(0));
     let failed = Arc::new(AtomicU64::new(0));
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = ptnc_bench::allocations();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for s in 0..wl.streams {
@@ -223,7 +189,7 @@ fn drive_load(server: &Server, reg: &Arc<ModelRegistry>, wl: &Workload) -> LoadR
         }
     });
     let elapsed = start.elapsed();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = ptnc_bench::allocations() - alloc_start;
 
     // Hot swaps under a fresh burst of the same traffic.
     let mut swap_reports = Vec::new();
@@ -300,7 +266,7 @@ fn drive_sessions(server: &Server, wl: &Workload) -> Option<SessionLoad> {
 
     let completed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
-    let alloc_start = ALLOCATIONS.load(Ordering::Relaxed);
+    let alloc_start = ptnc_bench::allocations();
     let start = Instant::now();
     let shard_len = ids.len().div_ceil(wl.streams.max(1));
     std::thread::scope(|scope| {
@@ -342,7 +308,7 @@ fn drive_sessions(server: &Server, wl: &Workload) -> Option<SessionLoad> {
         }
     });
     let elapsed = start.elapsed();
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - alloc_start;
+    let allocs = ptnc_bench::allocations() - alloc_start;
     let done = completed.load(Ordering::Relaxed);
 
     // Parity spot-check against the server's own one-shot path (both run

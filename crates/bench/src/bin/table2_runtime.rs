@@ -9,7 +9,7 @@
 //!
 //! Per-epoch training cost comes from the trainer's own epoch clock
 //! ([`ptnc_nn::timing`]), so dataset preparation and model setup are
-//! excluded and the numbers match what `train_throughput` reports.
+//! excluded.
 //!
 //! ```text
 //! cargo run -p ptnc-bench --release --bin table2_runtime

@@ -32,22 +32,13 @@ use std::time::{Duration, Instant};
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::persist;
-use ptnc_bench::{print_row, print_rule, with_run_manifest};
+use ptnc_bench::{env_usize, print_row, print_rule, with_run_manifest};
 use ptnc_serve::{BatchConfig, ModelRegistry, Server};
 use ptnc_tensor::init;
 use ptnc_wire::{
     ChaosConfig, ChaosProxy, Endpoint, FaultKind, WireClient, WireClientConfig, WireServer,
     WireServerConfig,
 };
-
-fn env_usize(name: &str, default: usize) -> usize {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
-    }
-}
 
 const DIM: usize = 3;
 const CLASSES: usize = 4;

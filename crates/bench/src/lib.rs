@@ -8,7 +8,68 @@
 //! `PNC_TELEMETRY=<path>` dumps a run-manifest JSONL (see
 //! [`with_run_manifest`]).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use ptnc_datasets::{all_specs, BenchmarkSpec};
+
+/// System allocator wrapped with a process-wide allocation counter, so a
+/// throughput binary can report per-forward and per-request allocation
+/// counts. The library does not install it; a binary opts in and reads the
+/// running total with [`allocations`]:
+///
+/// ```
+/// #[global_allocator]
+/// static GLOBAL: ptnc_bench::CountingAlloc = ptnc_bench::CountingAlloc;
+///
+/// let before = ptnc_bench::allocations();
+/// let buf = std::hint::black_box(vec![0u8; 64]);
+/// assert!(ptnc_bench::allocations() > before);
+/// drop(buf);
+/// ```
+pub struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: delegates directly to `System`; the counter is a relaxed atomic
+// side effect and does not affect allocation behavior.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+/// Allocations (including reallocations) counted by [`CountingAlloc`] so
+/// far in this process, on every thread. Always zero unless the binary
+/// installed [`CountingAlloc`] as its global allocator.
+pub fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
+
+/// Reads an integer knob from the environment, falling back to `default`
+/// when it is unset.
+///
+/// # Panics
+///
+/// Panics if the variable is set but is not a valid integer.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    match std::env::var(name) {
+        Err(_) => default,
+        Ok(v) => v
+            .parse()
+            .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
+    }
+}
 
 /// Formats `mean ± std` like the paper's tables.
 pub fn fmt_pm(mean: f64, std: f64) -> String {

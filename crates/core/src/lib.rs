@@ -74,7 +74,7 @@ pub use ptnc_faultsim as faultsim;
 pub mod prelude {
     pub use crate::eval::{dataset_to_steps, evaluate, evaluate_with_runner, EvalCondition};
     pub use crate::hardware::{DeviceCount, HardwareReport};
-    pub use crate::models::{FilterOrder, ForwardMode, PrintedModel};
+    pub use crate::models::{FilterOrder, PrintedModel};
     pub use crate::parallel::{rng_for, seed_split, streams, ParallelRunner};
     pub use crate::pdk::Pdk;
     pub use crate::robustness::{sensor_fault_sweep, RobustnessConfig, SweepPoint};

@@ -148,31 +148,6 @@ impl Ptpb {
     }
 }
 
-/// How a training/inference forward pass records the autograd tape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwardMode {
-    /// One graph node per primitive per time step (the original tape).
-    Unfused,
-    /// Whole-sequence scan kernels: one node per primitive per layer,
-    /// bit-identical values and gradients, far fewer allocations.
-    Fused,
-}
-
-impl ForwardMode {
-    /// Reads the mode from `PNC_TRAIN_FUSED` (default: fused). Set
-    /// `PNC_TRAIN_FUSED=0` to fall back to the per-step tape.
-    pub fn from_env() -> Self {
-        match std::env::var("PNC_TRAIN_FUSED") {
-            Ok(v)
-                if v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off") =>
-            {
-                ForwardMode::Unfused
-            }
-            _ => ForwardMode::Fused,
-        }
-    }
-}
-
 /// A 2-layer printed temporal-processing network.
 #[derive(Debug, Clone)]
 pub struct PrintedModel {
@@ -308,23 +283,22 @@ impl PrintedModel {
     /// Panics if `steps` is empty or the noise has the wrong number of
     /// layers.
     pub fn forward(&self, steps: &[Tensor], noise: Option<&ModelNoise>) -> Tensor {
-        self.forward_with_mode(steps, noise, ForwardMode::from_env())
+        assert!(!steps.is_empty(), "empty input sequence");
+        self.forward_time_major(&Tensor::concat(steps, 0), steps.len(), noise)
     }
 
-    /// Forward pass with an explicit tape-recording mode. Both modes produce
-    /// bit-identical logits and parameter gradients; [`ForwardMode::Fused`]
-    /// records O(layers) instead of O(layers·steps) graph nodes.
+    /// Reference forward pass on the per-step tape: one graph node per
+    /// primitive per time step, chaining [`Ptpb::forward_sequence`] through
+    /// the layers. It produces bit-identical logits and parameter gradients
+    /// to [`PrintedModel::forward`], which records O(layers) instead of
+    /// O(layers·steps) nodes. Kept only as the test oracle for the fused
+    /// scan kernels; training and evaluation never call it.
     ///
     /// # Panics
     ///
     /// Panics if `steps` is empty or the noise has the wrong number of
     /// layers.
-    pub fn forward_with_mode(
-        &self,
-        steps: &[Tensor],
-        noise: Option<&ModelNoise>,
-        mode: ForwardMode,
-    ) -> Tensor {
+    pub fn forward_per_step(&self, steps: &[Tensor], noise: Option<&ModelNoise>) -> Tensor {
         assert!(!steps.is_empty(), "empty input sequence");
         if let Some(n) = noise {
             assert_eq!(
@@ -333,20 +307,13 @@ impl PrintedModel {
                 "noise layer count mismatch"
             );
         }
-        match mode {
-            ForwardMode::Unfused => {
-                let mut seq: Vec<Tensor> = steps.to_vec();
-                for (i, layer) in self.layers.iter().enumerate() {
-                    seq = layer.forward_sequence(&seq, noise.map(|n| &n.layers[i]));
-                }
-                seq.last()
-                    .expect("non-empty sequence")
-                    .mul_scalar(LOGIT_SCALE)
-            }
-            ForwardMode::Fused => {
-                self.forward_time_major(&Tensor::concat(steps, 0), steps.len(), noise)
-            }
+        let mut seq: Vec<Tensor> = steps.to_vec();
+        for (i, layer) in self.layers.iter().enumerate() {
+            seq = layer.forward_sequence(&seq, noise.map(|n| &n.layers[i]));
         }
+        seq.last()
+            .expect("non-empty sequence")
+            .mul_scalar(LOGIT_SCALE)
     }
 
     /// Fused forward on an already time-major stacked input `[steps·batch, d]`
@@ -497,8 +464,8 @@ mod tests {
                 .collect();
             let noise = m.sample_noise(&VariationConfig::paper_default(), &mut rng);
 
-            let a = m.forward_with_mode(&s, Some(&noise), ForwardMode::Unfused);
-            let b = m.forward_with_mode(&s, Some(&noise), ForwardMode::Fused);
+            let a = m.forward_per_step(&s, Some(&noise));
+            let b = m.forward(&s, Some(&noise));
             assert_eq!(a.to_vec(), b.to_vec(), "{order:?}: logits diverged");
 
             a.square().sum_all().backward();
@@ -510,14 +477,6 @@ mod tests {
             for ((p, want), i) in m.parameters().iter().zip(&unfused_grads).zip(0..) {
                 assert_eq!(&p.grad(), want, "{order:?}: parameter {i} grad diverged");
             }
-        }
-    }
-
-    #[test]
-    fn forward_mode_env_default_is_fused() {
-        // No env override in the test process ⇒ fused.
-        if std::env::var("PNC_TRAIN_FUSED").is_err() {
-            assert_eq!(ForwardMode::from_env(), ForwardMode::Fused);
         }
     }
 

@@ -37,7 +37,7 @@ use ptnc_nn::{
 use ptnc_tensor::Tensor;
 
 use crate::eval::{dataset_to_steps, perturb_dataset};
-use crate::models::{FilterOrder, ForwardMode, PrintedModel};
+use crate::models::{FilterOrder, PrintedModel};
 use crate::parallel::{rng_for, streams, ModelTemplate, ParallelRunner, RawSteps};
 use crate::pdk::Pdk;
 use crate::variation::VariationConfig;
@@ -91,11 +91,6 @@ pub struct TrainConfig {
     pub mu_nominal: f64,
     /// Printable ranges.
     pub pdk: Pdk,
-    /// Record the training tape with the fused whole-sequence scan kernels
-    /// ([`ForwardMode::Fused`]) instead of one node per time step. Both modes
-    /// are bit-identical in results; fused is several times faster. Presets
-    /// default from `PNC_TRAIN_FUSED` (fused unless set to `0`).
-    pub train_fused: bool,
 }
 
 impl TrainConfig {
@@ -118,7 +113,6 @@ impl TrainConfig {
             variation: VariationConfig::paper_default(),
             mu_nominal: VariationConfig::paper_default().mu_nominal(),
             pdk: Pdk::paper_default(),
-            train_fused: ForwardMode::from_env() == ForwardMode::Fused,
         }
     }
 
@@ -226,8 +220,6 @@ impl TrainConfigBuilder {
         mu_nominal: f64,
         /// Printable ranges.
         pdk: Pdk,
-        /// Toggles the fused whole-sequence training tape.
-        train_fused: bool,
     }
 
     /// Finalizes the configuration.
@@ -289,7 +281,6 @@ fn mc_samples_parallel(
     raw_steps: &RawSteps,
     labels: &[usize],
     variation: &VariationConfig,
-    mode: ForwardMode,
     with_grads: bool,
 ) -> (f64, Vec<Vec<f64>>) {
     assert!(samples > 0, "need at least one Monte-Carlo sample");
@@ -301,17 +292,10 @@ fn mc_samples_parallel(
             // Loss-only samples (validation) skip tape recording entirely:
             // same forward values, no closures or stashes.
             let _tape_off = (!with_grads).then(ptnc_tensor::no_grad);
-            // Fused workers stack the raw input once instead of building one
+            // Workers stack the raw input once instead of building one
             // tensor per time step; the layouts are bitwise identical.
-            let logits = match mode {
-                ForwardMode::Fused => {
-                    let (stacked, t) = raw_steps.to_stacked();
-                    replica.forward_time_major(&stacked, t, Some(&noise))
-                }
-                ForwardMode::Unfused => {
-                    replica.forward_with_mode(&raw_steps.to_tensors(), Some(&noise), mode)
-                }
-            };
+            let (stacked, t) = raw_steps.to_stacked();
+            let logits = replica.forward_time_major(&stacked, t, Some(&noise));
             let ce = cross_entropy(&logits, labels);
             if ptnc_telemetry::is_enabled() {
                 ptnc_telemetry::gauge("train.mc_sample_loss", ce.item());
@@ -373,15 +357,6 @@ impl PrintedObjective {
             .conductance_sum()
             .mul_scalar(self.cfg.pdk.g_unit * self.cfg.power_reg)
     }
-
-    /// The tape-recording mode this run trains with.
-    fn mode(&self) -> ForwardMode {
-        if self.cfg.train_fused {
-            ForwardMode::Fused
-        } else {
-            ForwardMode::Unfused
-        }
-    }
 }
 
 impl TrainObjective for PrintedObjective {
@@ -413,7 +388,6 @@ impl TrainObjective for PrintedObjective {
                 &raw_steps,
                 &train_labels,
                 &self.cfg.variation,
-                self.mode(),
                 true,
             );
             // Inject the accumulated replica gradients into the live
@@ -427,12 +401,7 @@ impl TrainObjective for PrintedObjective {
             }
             surrogate.sub(&surrogate.detach()).add_scalar(mean_ce)
         } else {
-            cross_entropy(
-                &self
-                    .model
-                    .forward_with_mode(&train_steps, None, self.mode()),
-                &train_labels,
-            )
+            cross_entropy(&self.model.forward(&train_steps, None), &train_labels)
         };
 
         if self.cfg.power_reg > 0.0 && ctx.epoch >= self.power_start_epoch {
@@ -460,19 +429,12 @@ impl TrainObjective for PrintedObjective {
                 &self.raw_val,
                 &self.val_labels,
                 &self.cfg.variation,
-                self.mode(),
                 false,
             );
             mean_ce
         } else {
             let _tape_off = ptnc_tensor::no_grad();
-            cross_entropy(
-                &self
-                    .model
-                    .forward_with_mode(&self.val_steps, None, self.mode()),
-                &self.val_labels,
-            )
-            .item()
+            cross_entropy(&self.model.forward(&self.val_steps, None), &self.val_labels).item()
         };
         if ptnc_telemetry::is_enabled() {
             // The nominal accuracy pass is extra work, so only compute it
@@ -741,21 +703,6 @@ mod tests {
             .zip(parallel.model.parameters())
         {
             assert_eq!(a.to_vec(), b.to_vec(), "parameters diverged");
-        }
-    }
-
-    #[test]
-    fn fused_and_unfused_training_bit_identical() {
-        let split = quick_split("Slope");
-        let base = TrainConfig::adapt_pnc(3)
-            .to_builder()
-            .max_epochs(4)
-            .mc_samples(2);
-        let a = train(&split, &base.clone().train_fused(true).build(), 2);
-        let b = train(&split, &base.train_fused(false).build(), 2);
-        assert_eq!(a.report, b.report, "training reports diverged across modes");
-        for (p, q) in a.model.parameters().iter().zip(b.model.parameters()) {
-            assert_eq!(p.to_vec(), q.to_vec(), "parameters diverged across modes");
         }
     }
 

@@ -24,7 +24,7 @@
 //!   with which a reverse-topological traversal of the per-step graph calls
 //!   `accumulate_grad`.
 //!
-//! The fused-vs-unfused training determinism suite relies on this contract.
+//! The bitwise fused-vs-per-step parity suite relies on this contract.
 
 use std::cell::Ref;
 

@@ -13,14 +13,12 @@
 //!   thread exits and adopted by the next worker thread that allocates, so
 //!   MC workers keep an effectively **persistent scratch arena across
 //!   samples and epochs** even though the threads themselves are short-lived.
-//! * `PNC_POOL=0` (or [`set_enabled`]`(false)`) disables recycling for A/B
-//!   measurements. Numerical results are identical either way: pooled
-//!   buffers are fully overwritten before they become visible.
+//! * Pooling never changes numerical results: pooled buffers are fully
+//!   overwritten before they become visible.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Mutex;
 
 use crate::Scalar;
@@ -43,28 +41,6 @@ struct Arena {
 
 /// Arenas orphaned by exited worker threads, waiting for adoption.
 static RESERVOIR: Mutex<Vec<Arena>> = Mutex::new(Vec::new());
-
-/// 0 = read `PNC_POOL` on first use, 1 = enabled, 2 = disabled.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-fn enabled() -> bool {
-    match MODE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => {
-            let on = std::env::var("PNC_POOL").map_or(true, |v| v != "0");
-            MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Enables or disables buffer recycling process-wide (overrides `PNC_POOL`).
-/// Used by benches to A/B pooled vs unpooled allocation in one process.
-/// Safe at any time: disabling simply routes future frees to the allocator.
-pub fn set_enabled(on: bool) {
-    MODE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
 
 /// Holder whose drop hands the thread's arena to the global reservoir, so
 /// short-lived Monte-Carlo worker threads pass their warm free lists on.
@@ -109,7 +85,7 @@ fn with_arena<R>(f: impl FnOnce(&mut Arena) -> R) -> Option<R> {
 }
 
 fn take_raw(len: usize) -> Option<Vec<Scalar>> {
-    if !enabled() || len == 0 || len > MAX_POOLED_LEN {
+    if len == 0 || len > MAX_POOLED_LEN {
         return None;
     }
     with_arena(|arena| {
@@ -167,10 +143,10 @@ pub fn filled_with(len: usize, mut f: impl FnMut(usize) -> Scalar) -> Vec<Scalar
 }
 
 /// Returns a buffer to this thread's free lists (drops it normally when the
-/// pool is disabled, the buffer is over-sized, or the bucket is full).
+/// buffer is empty or over-sized, or the bucket is full).
 pub fn recycle(buf: Vec<Scalar>) {
     let len = buf.len();
-    if !enabled() || len == 0 || len > MAX_POOLED_LEN {
+    if len == 0 || len > MAX_POOLED_LEN {
         return; // plain drop
     }
     with_arena(|arena| {
@@ -193,8 +169,8 @@ pub struct PoolStats {
     pub recycled: u64,
 }
 
-/// This thread's pool statistics (all zeros when the pool is disabled or
-/// the thread never touched it).
+/// This thread's pool statistics (all zeros when the thread never touched
+/// the pool).
 pub fn stats() -> PoolStats {
     with_arena(|a| PoolStats {
         hits: a.hits,
@@ -239,7 +215,6 @@ mod tests {
 
     #[test]
     fn recycled_buffer_is_reused() {
-        set_enabled(true);
         // An unusual length so other tests' buffers cannot interfere.
         let len = 12_347;
         let mut buf = take_uninit(len);
@@ -255,7 +230,6 @@ mod tests {
 
     #[test]
     fn zeroed_and_copy_contents() {
-        set_enabled(true);
         let len = 9_973;
         let mut buf = take_uninit(len);
         buf.fill(7.0);
@@ -274,19 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_pool_allocates_fresh_zeroed() {
-        set_enabled(false);
-        let len = 8_191;
-        let mut buf = take_uninit(len);
-        buf.fill(3.0);
-        recycle(buf); // dropped, not retained
-        assert!(take_uninit(len).iter().all(|&v| v == 0.0));
-        set_enabled(true);
-    }
-
-    #[test]
     fn oversized_and_empty_buffers_are_not_pooled() {
-        set_enabled(true);
         recycle(Vec::new());
         let before = stats();
         assert_eq!(take_uninit(0).len(), 0);
@@ -298,7 +260,6 @@ mod tests {
 
     #[test]
     fn poolbuf_derefs_and_recycles() {
-        set_enabled(true);
         let len = 6_421;
         let wrapped = PoolBuf::new(filled_with(len, |i| i as Scalar));
         assert_eq!(wrapped[3], 3.0);

@@ -1,6 +1,7 @@
 //! The fused-training contract: the whole-sequence scan kernels
 //! (`matmul_scan`, `bias_div_scan`, `filter_scan`, `filter_scan_last`,
-//! `ptanh_scan`) must be interchangeable with the per-step tape — same
+//! `ptanh_scan`) behind `PrintedModel::forward` must be interchangeable with
+//! the per-step reference tape (`PrintedModel::forward_per_step`) — same
 //! logits, same gradients — across filter orders, batch shapes and
 //! variation noise. Forward values and parameter gradients are required to
 //! be **bit-identical**; finite differences independently validate the
@@ -27,7 +28,7 @@ fn model(order: FilterOrder, seed: u64) -> PrintedModel {
 
 const ORDERS: [FilterOrder; 3] = [FilterOrder::First, FilterOrder::Second, FilterOrder::Third];
 
-/// Fused and unfused tapes agree bitwise — orders 1–3, batched and
+/// The fused tape and the per-step oracle agree bitwise — orders 1–3, batched and
 /// single-sequence, nominal and under variation noise.
 #[test]
 fn fused_gradients_bit_identical_to_unfused() {
@@ -42,16 +43,8 @@ fn fused_gradients_bit_identical_to_unfused() {
                 // tol 0.0 ⇒ loss values and every gradient element must be
                 // bitwise equal between the two tapes.
                 gradcheck::compare(
-                    || {
-                        m.forward_with_mode(&steps, n, ForwardMode::Fused)
-                            .square()
-                            .sum_all()
-                    },
-                    || {
-                        m.forward_with_mode(&steps, n, ForwardMode::Unfused)
-                            .square()
-                            .sum_all()
-                    },
+                    || m.forward(&steps, n).square().sum_all(),
+                    || m.forward_per_step(&steps, n).square().sum_all(),
                     &params,
                     &params,
                     0.0,
@@ -69,11 +62,7 @@ fn fused_gradients_match_finite_differences() {
         let m = model(order, 20 + oi as u64);
         let steps = wave_steps(6, 2, 2);
         gradcheck::check(
-            || {
-                m.forward_with_mode(&steps, None, ForwardMode::Fused)
-                    .square()
-                    .sum_all()
-            },
+            || m.forward(&steps, None).square().sum_all(),
             &m.parameters(),
             1e-6,
         );
@@ -89,17 +78,13 @@ fn fused_gradients_match_finite_differences_under_noise() {
     let mut rng = init::rng(32);
     let noise = m.sample_noise(&VariationConfig::paper_default(), &mut rng);
     gradcheck::check(
-        || {
-            m.forward_with_mode(&steps, Some(&noise), ForwardMode::Fused)
-                .square()
-                .sum_all()
-        },
+        || m.forward(&steps, Some(&noise)).square().sum_all(),
         &m.parameters(),
         1e-6,
     );
 }
 
-/// Forward logits are bit-identical between the tapes for every order, with
+/// Forward logits are bit-identical between the two tapes for every order, with
 /// and without noise — the value-side half of the contract.
 #[test]
 fn fused_forward_bit_identical() {
@@ -109,8 +94,8 @@ fn fused_forward_bit_identical() {
         let mut rng = init::rng(50 + oi as u64);
         let noise = m.sample_noise(&VariationConfig::paper_default(), &mut rng);
         for n in [None, Some(&noise)] {
-            let a = m.forward_with_mode(&steps, n, ForwardMode::Unfused);
-            let b = m.forward_with_mode(&steps, n, ForwardMode::Fused);
+            let a = m.forward_per_step(&steps, n);
+            let b = m.forward(&steps, n);
             assert_eq!(a.to_vec(), b.to_vec(), "{order:?}: logits diverged");
         }
     }
@@ -122,7 +107,7 @@ fn fused_forward_bit_identical() {
 fn single_step_sequences_agree() {
     let m = model(FilterOrder::Second, 60);
     let steps = wave_steps(1, 4, 2);
-    let a = m.forward_with_mode(&steps, None, ForwardMode::Unfused);
-    let b = m.forward_with_mode(&steps, None, ForwardMode::Fused);
+    let a = m.forward_per_step(&steps, None);
+    let b = m.forward(&steps, None);
     assert_eq!(a.to_vec(), b.to_vec());
 }
