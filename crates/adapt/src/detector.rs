@@ -4,7 +4,7 @@
 //! observation — typically the resident SO-LF state RMS exported by
 //! [`ptnc_infer::StreamSession::state_rms`] or
 //! [`ptnc_infer::Scratch::lane_state_rms`] — plus the guard-window fault
-//! fraction from [`ptnc_infer::GuardedStream::fault_fraction`]. The
+//! fraction from [`ptnc_infer::InputGuard::fault_fraction`]. The
 //! detector freezes a baseline over the first `baseline_window`
 //! observations (Welford mean/variance), then runs a two-sided CUSUM on
 //! the normalized deviation from that baseline. A sustained mean shift in

@@ -10,7 +10,7 @@
 //!    resident filter-state statistics that [`ptnc_infer`] exports
 //!    (`StreamSession::state_rms`, `Scratch::lane_state_rms`), plus a
 //!    direct trip on the guard window's fault fraction
-//!    (`GuardedStream::fault_fraction`). Pure function of the observation
+//!    (`InputGuard::fault_fraction`). Pure function of the observation
 //!    sequence — no clocks, no RNG.
 //! 2. **Capture** ([`ReplayBuffer`]): a bounded, seeded reservoir of
 //!    recent labeled traffic windows; the kept sample is deterministic in

@@ -212,8 +212,8 @@ impl AdaptController {
     /// the round counter advances; the replay is kept — drift is ongoing
     /// and recent windows stay representative.
     ///
-    /// Returns [`AdaptError::NotReady`] unless [`should_adapt`]
-    /// (see [`Self::should_adapt`]) holds; any failure leaves the
+    /// Returns [`AdaptError::NotReady`] unless
+    /// [`should_adapt`](Self::should_adapt) holds; any failure leaves the
     /// registry's current engine untouched.
     pub fn adapt(&mut self, registry: &ModelRegistry) -> Result<AdaptOutcome, AdaptError> {
         if !self.should_adapt() {

@@ -1,17 +1,21 @@
 //! Guarded input path: sample validation, degradation policies and
 //! per-stream health tracking for hostile sensor streams.
 //!
-//! The unguarded [`StreamState`](crate::StreamState) trusts its inputs
-//! completely — one NaN reading poisons the SO-LF recurrence forever (the
-//! filter state is `a⊙state + b⊙input`, and NaN propagates through both
-//! terms from then on). This module is the hardened front door: every
-//! sample is checked for finiteness and range **before** it can touch
-//! filter state, invalid samples are repaired by a configurable
-//! [`DegradePolicy`], and each stream of a batch carries a [`Health`]
-//! state derived from its recent fault density. The invariant the
-//! integration tests pin down: **no non-finite value can ever enter or
-//! persist in filter state through the guarded path**, for any input
-//! whatsoever.
+//! The streaming paths ([`StreamSession::run_chunk`] and
+//! [`InferModel::run_chunk_into`]) trust their inputs completely — one
+//! NaN reading poisons the SO-LF recurrence forever (the filter state is
+//! `a⊙state + b⊙input`, and NaN propagates through both terms from then
+//! on). [`InputGuard`] is the hardened front door: [`InputGuard::sanitize`]
+//! checks every sample of a timestep for finiteness and range **before**
+//! it can touch filter state, repairs invalid samples with a configurable
+//! [`DegradePolicy`], and tracks a [`Health`] state per stream derived
+//! from its recent fault density. Call it on each timestep ahead of
+//! either streaming path; [`InferModel::run_batch_guarded`] does the same
+//! for a whole batch. The invariant the integration tests pin down: **no
+//! non-finite value can ever enter or persist in filter state through a
+//! guarded path**, for any input whatsoever.
+//!
+//! [`StreamSession::run_chunk`]: crate::StreamSession::run_chunk
 //!
 //! Health transitions are reported as `ptnc-telemetry` counters
 //! (`infer.guard.to_degraded`, `infer.guard.to_faulted`,
@@ -19,8 +23,7 @@
 //! numbers are available synchronously via [`GuardStats`].
 
 use crate::error::InferError;
-use crate::model::{InferModel, Scratch};
-use crate::stream::StreamState;
+use crate::model::InferModel;
 
 /// How an invalid (non-finite or out-of-range) sample is repaired.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,9 +165,10 @@ pub struct GuardStats {
 
 /// The guard state machine for one batch of streams: validates one
 /// timestep of readings at a time, repairs invalid samples in place and
-/// tracks per-stream health. Used by [`GuardedStream`] and
-/// [`InferModel::run_batch_guarded`]; it has no dependency on the model,
-/// so it can also sanitize inputs for any other consumer.
+/// tracks per-stream health. Sits in front of a streaming session or
+/// scratch, and inside [`InferModel::run_batch_guarded`]; it has no
+/// dependency on the model, so it can also sanitize inputs for any other
+/// consumer.
 #[derive(Debug, Clone)]
 pub struct InputGuard {
     cfg: GuardConfig,
@@ -410,114 +414,7 @@ impl InputGuard {
     }
 }
 
-/// A guarded streaming session: [`StreamState`] behind an [`InputGuard`].
-/// Every sample is validated and (if needed) repaired before it reaches
-/// the filter recurrence, so the internal state stays finite under
-/// arbitrary input — including NaN/Inf bursts — and each stream's health
-/// is queryable between steps.
-#[derive(Debug)]
-pub struct GuardedStream<'m> {
-    inner: StreamState<'m>,
-    guard: InputGuard,
-    buf: Vec<f64>,
-}
-
-impl<'m> GuardedStream<'m> {
-    pub(crate) fn new(
-        model: &'m InferModel,
-        batch: usize,
-        cfg: GuardConfig,
-    ) -> Result<Self, InferError> {
-        let dim = model.spec().input_dim;
-        Ok(GuardedStream {
-            inner: StreamState::new(model, batch)?,
-            guard: InputGuard::new(cfg, batch, dim)?,
-            buf: vec![0.0; batch * dim],
-        })
-    }
-
-    /// The batch size this stream was opened for.
-    pub fn batch(&self) -> usize {
-        self.inner.batch()
-    }
-
-    /// Timesteps consumed since creation or [`GuardedStream::reset`].
-    pub fn steps_seen(&self) -> usize {
-        self.inner.steps_seen()
-    }
-
-    /// Current health per stream.
-    pub fn health(&self) -> &[Health] {
-        self.guard.health()
-    }
-
-    /// Aggregate guard counters.
-    pub fn stats(&self) -> &GuardStats {
-        self.guard.stats()
-    }
-
-    /// Fault fraction of stream `stream`'s current health window (see
-    /// [`InputGuard::fault_fraction`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::ShapeMismatch`] if `stream` is out of range.
-    pub fn fault_fraction(&self, stream: usize) -> Result<f64, InferError> {
-        self.guard.fault_fraction(stream)
-    }
-
-    /// Whether every internal filter state is finite. The guarded path
-    /// keeps this `true` by construction; the accessor exists so tests and
-    /// watchdogs can verify the invariant directly.
-    pub fn state_is_finite(&self) -> bool {
-        self.inner.state_is_finite()
-    }
-
-    /// Advances one timestep like [`StreamState::step`], but sanitized:
-    /// `input` is copied, repaired per the guard policy, and only then fed
-    /// to the recurrence. The returned logits are valid until the next
-    /// call and always finite.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::ShapeMismatch`] if `input` has the wrong
-    /// length; neither guard nor filter state changes on error.
-    pub fn step(&mut self, input: &[f64]) -> Result<&[f64], InferError> {
-        if input.len() != self.buf.len() {
-            return Err(InferError::ShapeMismatch {
-                what: "step input",
-                expected: self.buf.len(),
-                found: input.len(),
-            });
-        }
-        self.buf.copy_from_slice(input);
-        self.guard.sanitize(&mut self.buf)?;
-        self.inner.step(&self.buf)
-    }
-
-    /// Rewinds filter states, guard state and health for a fresh sequence.
-    pub fn reset(&mut self) {
-        self.inner.reset();
-        self.guard.reset();
-    }
-}
-
 impl InferModel {
-    /// Opens a guarded incremental session over `batch` parallel streams
-    /// (one timestep per [`GuardedStream::step`] call).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::ZeroBatch`] if `batch` is zero and
-    /// [`InferError::InvalidGuardConfig`] if `cfg` is inconsistent.
-    pub fn guarded_stream(
-        &self,
-        batch: usize,
-        cfg: GuardConfig,
-    ) -> Result<GuardedStream<'_>, InferError> {
-        GuardedStream::new(self, batch, cfg)
-    }
-
     /// Runs `batch` sequences like [`InferModel::run_batch`], but through
     /// the guarded input path: each timestep is sanitized by `guard`
     /// before entering the recurrence, so the returned logits are finite
@@ -562,28 +459,24 @@ impl InferModel {
                 found: guard.dim,
             });
         }
-        let mut scratch: Scratch = self.make_scratch(batch)?;
-        self.reset_states(&mut scratch);
-        let mut buf = vec![0.0; step_len];
-        for chunk in steps.chunks_exact(step_len) {
-            buf.copy_from_slice(chunk);
+        let mut sanitized = steps.to_vec();
+        for step in sanitized.chunks_exact_mut(step_len) {
             guard
-                .sanitize(&mut buf)
+                .sanitize(step)
                 .expect("buffer sized to the guard above");
-            self.advance(&buf, &mut scratch);
         }
-        let mut out = vec![0.0; batch * self.spec().classes];
-        self.read_logits(&scratch, &mut out);
-        Ok(out)
+        self.run_batch(&sanitized, batch)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::model::InferSpec;
 
-    fn model() -> InferModel {
+    fn model() -> Arc<InferModel> {
         let spec = InferSpec {
             input_dim: 2,
             hidden: 3,
@@ -599,7 +492,7 @@ mod tests {
             .enumerate()
             .map(|(k, &n)| (0..n).map(|i| 0.15 + 0.07 * (k + i) as f64).collect())
             .collect();
-        InferModel::build(spec, &params).unwrap()
+        Arc::new(InferModel::build(spec, &params).unwrap())
     }
 
     #[test]
@@ -617,14 +510,19 @@ mod tests {
     #[test]
     fn nan_never_reaches_filter_state() {
         let m = model();
-        let mut stream = m.guarded_stream(1, GuardConfig::default_policy()).unwrap();
+        let mut guard = InputGuard::new(GuardConfig::default_policy(), 1, 2).unwrap();
+        let mut session = m.session();
+        let mut scratch = m.make_scratch(1).unwrap();
+        let mut logits = [0.0; 2];
         for t in 0..64 {
             let x = if t % 3 == 0 { f64::NAN } else { 0.2 };
-            let logits = stream.step(&[x, f64::INFINITY]).unwrap();
+            let mut step = [x, f64::INFINITY];
+            guard.sanitize(&mut step).unwrap();
+            session.run_chunk(&step, &mut scratch, &mut logits).unwrap();
             assert!(logits.iter().all(|v| v.is_finite()), "step {t}");
-            assert!(stream.state_is_finite(), "state poisoned at step {t}");
+            assert!(session.state_is_finite(), "state poisoned at step {t}");
         }
-        assert!(stream.stats().nonfinite > 0);
+        assert!(guard.stats().nonfinite > 0);
     }
 
     #[test]
@@ -739,19 +637,27 @@ mod tests {
     #[test]
     fn per_stream_health_is_independent() {
         let m = model();
-        let mut stream = m.guarded_stream(2, GuardConfig::default_policy()).unwrap();
+        let mut guard = InputGuard::new(GuardConfig::default_policy(), 2, 2).unwrap();
+        let mut scratch = m.make_scratch(2).unwrap();
+        let mut logits = [0.0; 4];
         for _ in 0..32 {
             // Stream 0 clean, stream 1 all-NaN.
-            stream.step(&[0.3, -0.1, f64::NAN, f64::NAN]).unwrap();
+            let mut step = [0.3, -0.1, f64::NAN, f64::NAN];
+            guard.sanitize(&mut step).unwrap();
+            m.run_chunk_into(&step, 2, &mut scratch, &mut logits)
+                .unwrap();
         }
-        assert_eq!(stream.health()[0], Health::Healthy);
-        assert_eq!(stream.health()[1], Health::Faulted);
+        assert_eq!(guard.health()[0], Health::Healthy);
+        assert_eq!(guard.health()[1], Health::Faulted);
+        assert!(scratch.states_are_finite());
     }
 
     #[test]
     fn guarded_reset_replays_identically() {
         let m = model();
-        let mut stream = m.guarded_stream(1, GuardConfig::default_policy()).unwrap();
+        let mut guard = InputGuard::new(GuardConfig::default_policy(), 1, 2).unwrap();
+        let mut session = m.session();
+        let mut scratch = m.make_scratch(1).unwrap();
         let inputs: Vec<[f64; 2]> = (0..20)
             .map(|t| {
                 if t % 4 == 0 {
@@ -761,32 +667,36 @@ mod tests {
                 }
             })
             .collect();
-        let mut first = Vec::new();
-        for x in &inputs {
-            first = stream.step(x).unwrap().to_vec();
-        }
-        stream.reset();
-        assert_eq!(stream.stats().samples, 0);
-        let mut second = Vec::new();
-        for x in &inputs {
-            second = stream.step(x).unwrap().to_vec();
-        }
+        let mut run = |guard: &mut InputGuard, session: &mut crate::StreamSession| {
+            let mut logits = vec![0.0; 2];
+            for x in &inputs {
+                let mut step = *x;
+                guard.sanitize(&mut step).unwrap();
+                session.run_chunk(&step, &mut scratch, &mut logits).unwrap();
+            }
+            logits
+        };
+        let first = run(&mut guard, &mut session);
+        guard.reset();
+        session.reset();
+        assert_eq!(guard.stats().samples, 0);
+        let second = run(&mut guard, &mut session);
         assert_eq!(first, second);
     }
 
     #[test]
     fn wrong_width_is_a_typed_error() {
-        let m = model();
-        let mut stream = m.guarded_stream(1, GuardConfig::default_policy()).unwrap();
+        let mut guard = InputGuard::new(GuardConfig::default_policy(), 1, 2).unwrap();
         assert_eq!(
-            stream.step(&[0.0]).unwrap_err(),
+            guard.sanitize(&mut [0.0]).unwrap_err(),
             InferError::ShapeMismatch {
-                what: "step input",
+                what: "guard input",
                 expected: 2,
                 found: 1,
             }
         );
-        assert_eq!(stream.stats().samples, 0, "failed step must not count");
+        assert_eq!(guard.stats().samples, 0, "failed step must not count");
+        assert_eq!(guard.steps_seen(), 0);
     }
 
     #[test]

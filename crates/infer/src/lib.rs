@@ -22,25 +22,27 @@
 //! * **Batched** — [`InferModel::run_batch`] processes `B` sequences at
 //!   once with filter-major inner loops over the batch lanes (the serving
 //!   fast path).
-//! * **Streaming** — [`StreamState`] advances one timestep per call for
-//!   online sensor input; feeding a sequence step by step produces exactly
-//!   the logits of the batched run.
-//! * **Sessions** — [`StreamSession`] is the owned, `Arc`-backed spelling
-//!   of streaming for serving tiers: resident filter state persists
-//!   between chunk submissions ([`InferModel::run_chunk_into`]), can be
-//!   gathered into / scattered out of shared [`Scratch`] lanes for batched
-//!   forwards, and survives model hot-reloads (pin-old vs reset-on-reload
-//!   is the caller's policy via [`StreamSession::adopt_model`]).
+//! * **Sessions** — [`StreamSession`] owns (an `Arc` of) its engine and
+//!   the resident filter state of one stream, which persists between
+//!   [`StreamSession::run_chunk`] calls; a one-step chunk is one
+//!   streaming step, and feeding a sequence in any chunking produces
+//!   exactly the logits of the batched run. Sessions gather into and
+//!   scatter out of shared [`Scratch`] lanes for batched forwards, and
+//!   survive model hot-reloads (pin-old vs reset-on-reload is the
+//!   caller's policy via [`StreamSession::adopt_model`]). `B` streams in
+//!   lockstep step together through [`InferModel::run_chunk_into`] on a
+//!   fresh [`InferModel::make_scratch`]`(B)`.
 //! * **Perturbed** — [`InferModel::perturbed`] compiles a cheap per-trial
 //!   instance from a [`VariationSample`], so Monte-Carlo variation trials
 //!   share one frozen model across threads (`InferModel` is plain data and
 //!   therefore `Send + Sync`).
-//! * **Guarded** — [`InferModel::guarded_stream`] and
-//!   [`InferModel::run_batch_guarded`] place an [`InputGuard`] in front of
-//!   the recurrence: NaN/Inf/out-of-range samples are repaired by a
-//!   configurable [`DegradePolicy`] before they can poison filter state,
-//!   and each stream carries a [`Health`] classification derived from its
-//!   recent fault density.
+//! * **Guarded** — an [`InputGuard`] sanitizes each timestep in front of
+//!   either streaming path ([`InputGuard::sanitize`]), and
+//!   [`InferModel::run_batch_guarded`] does the same for a whole batch:
+//!   NaN/Inf/out-of-range samples are repaired by a configurable
+//!   [`DegradePolicy`] before they can poison filter state, and each
+//!   stream carries a [`Health`] classification derived from its recent
+//!   fault density ([`InputGuard::fault_fraction`]).
 //!
 //! ## Numerical parity
 //!
@@ -59,7 +61,7 @@
 //! ## Fallible request path
 //!
 //! Every request-shaped entry point — batched runs, scratch allocation,
-//! streaming steps, guard construction — validates its input and returns
+//! session chunks, guard construction — validates its input and returns
 //! a typed [`InferError`] instead of panicking, so a serving layer can
 //! shed malformed requests without losing the worker.
 
@@ -68,16 +70,14 @@ mod guard;
 mod model;
 mod precision;
 mod session;
-mod stream;
 mod tanh;
 mod variation;
 
 pub use error::InferError;
-pub use guard::{DegradePolicy, GuardConfig, GuardStats, GuardedStream, Health, InputGuard};
+pub use guard::{DegradePolicy, GuardConfig, GuardStats, Health, InputGuard};
 pub use model::{BuildError, InferModel, InferSpec, Scratch};
 pub use precision::{Precision, PrecisionParseError, QFormat};
 pub use session::StreamSession;
-pub use stream::StreamState;
 pub use variation::{LayerVariation, VariationDistribution, VariationSample};
 
 /// Classification accuracy of flat logits `[batch × classes]` against

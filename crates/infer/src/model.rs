@@ -786,7 +786,11 @@ impl InferModel {
         })
     }
 
-    /// Allocates working memory for batches of exactly `batch` sequences.
+    /// Allocates working memory for batches of exactly `batch` sequences,
+    /// with every lane's filter states at this instance's initial stage
+    /// voltages (zero at nominal, the sampled V₀ when perturbed), so a
+    /// fresh scratch is a fresh stream for
+    /// [`run_chunk_into`](Self::run_chunk_into).
     ///
     /// # Errors
     ///
@@ -813,7 +817,9 @@ impl InferModel {
             Backend::F32(k) => ScratchRepr::F32(k.make_scratch(batch)),
             Backend::I32(k) => ScratchRepr::I32(k.make_scratch(batch)),
         };
-        Ok(Scratch { batch, repr })
+        let mut scratch = Scratch { batch, repr };
+        self.reset_states(&mut scratch);
+        Ok(scratch)
     }
 
     /// Length of one stream's flat resident filter state
@@ -851,7 +857,7 @@ impl InferModel {
 
     /// Resets the filter states in `scratch` to this instance's initial
     /// stage voltages (zero at nominal, the sampled V₀ when perturbed).
-    pub(crate) fn reset_states(&self, scratch: &mut Scratch) {
+    fn reset_states(&self, scratch: &mut Scratch) {
         match (&self.backend, &mut scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
                 let batch = scratch.batch;
@@ -872,7 +878,7 @@ impl InferModel {
     /// afterwards the scratch's class activation holds the final-layer
     /// output. Callers must have validated the scratch against this model
     /// (every public entry point does).
-    pub(crate) fn advance(&self, src: &[f64], scratch: &mut Scratch) {
+    fn advance(&self, src: &[f64], scratch: &mut Scratch) {
         let batch = scratch.batch;
         match (&self.backend, &mut scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
@@ -895,7 +901,7 @@ impl InferModel {
 
     /// Writes the sense-stage logits (final-layer activation × logit
     /// scale) into `out`.
-    pub(crate) fn read_logits(&self, scratch: &Scratch, out: &mut [f64]) {
+    fn read_logits(&self, scratch: &Scratch, out: &mut [f64]) {
         match (&self.backend, &scratch.repr) {
             (Backend::F64, ScratchRepr::F64(sc)) => {
                 let classes = self.spec.classes;
@@ -937,26 +943,28 @@ impl InferModel {
     ) -> Result<(), InferError> {
         self.validate_batch(steps, batch, scratch, out)?;
         self.reset_states(scratch);
-        let step_len = batch * self.spec.input_dim;
-        for chunk in steps.chunks_exact(step_len) {
-            self.advance(chunk, scratch);
-        }
-        self.read_logits(scratch, out);
-        Ok(())
+        self.run_chunk_into(steps, batch, scratch, out)
     }
 
     /// Like [`InferModel::run_batch_into`] but **resumes from the filter
     /// states already resident in `scratch`** instead of resetting them —
-    /// the batched spelling of [`StreamState::step`](crate::StreamState)
-    /// for windows split across submissions. Feeding a window in chunks
-    /// through this call (states carried between calls) produces exactly
-    /// the logits of one [`run_batch_into`](Self::run_batch_into) on the
-    /// concatenated window, because the per-lane recurrence is identical;
-    /// only the call granularity differs.
+    /// the streaming path for `batch` streams at once, one timestep per
+    /// call or any longer chunk. Feeding a window in chunks through this
+    /// call, starting from a fresh [`make_scratch`](Self::make_scratch),
+    /// produces exactly the logits of one
+    /// [`run_batch_into`](Self::run_batch_into) on the concatenated
+    /// window, because the per-lane recurrence is identical; only the
+    /// call granularity differs.
     ///
-    /// Callers own state initialization: start a fresh stream from
-    /// [`InferModel::reset_lane_state`] (or a scratch that just ran
-    /// `run_batch_into`, which ends in a post-window state).
+    /// # NaN poisoning hazard
+    ///
+    /// This path trusts its inputs. Because the decayed previous state is
+    /// part of every `a⊙state + b⊙input` update, a **single** NaN or ±∞
+    /// sample poisons the affected lane's filter states permanently,
+    /// however clean the later input. Put an
+    /// [`InputGuard::sanitize`](crate::InputGuard::sanitize) in front of
+    /// each timestep for raw sensor streams;
+    /// [`Scratch::states_are_finite`] audits state health between calls.
     ///
     /// # Errors
     ///
@@ -1031,16 +1039,6 @@ impl InferModel {
         let mut out = vec![0.0; batch * self.spec.classes];
         self.run_batch_into(steps, batch, &mut scratch, &mut out)?;
         Ok(out)
-    }
-
-    /// Opens an incremental streaming session over `batch` parallel
-    /// sequences (one timestep per [`StreamState::step`] call).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InferError::ZeroBatch`] if `batch == 0`.
-    pub fn stream(&self, batch: usize) -> Result<crate::StreamState<'_>, InferError> {
-        crate::StreamState::new(self, batch)
     }
 }
 

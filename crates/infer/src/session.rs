@@ -1,13 +1,15 @@
 //! Owned, long-lived stream sessions: resident SO-LF filter state that
 //! survives between submissions and across model hot-reloads.
 //!
-//! [`StreamState`](crate::StreamState) borrows its model (`&'m InferModel`)
-//! — fine for a loop over one engine, unusable in a serving tier where the
-//! live model is swapped under traffic. A [`StreamSession`] instead holds
-//! an `Arc<InferModel>` plus the flat resident filter state of **one**
-//! logical stream, so it can outlive a registry swap: a session pinned to
-//! the old model keeps that engine alive through its `Arc` until the
-//! session itself adopts a new one (or is dropped).
+//! A [`StreamSession`] holds an `Arc<InferModel>` plus the flat resident
+//! filter state of **one** logical stream. It is the one way to step a
+//! stream: [`StreamSession::run_chunk`] advances it by any number of
+//! timesteps, and a one-step chunk is one streaming step. Because it owns
+//! its engine it can outlive a registry swap: a session pinned to the old
+//! model keeps that engine alive through its `Arc` until the session
+//! itself adopts a new one (or is dropped). Put an
+//! [`InputGuard`](crate::InputGuard) in front of `run_chunk` for raw
+//! sensor input.
 //!
 //! The state is stored in the flat `[layer][stage][filter]` layout of
 //! [`Scratch::export_lane_state`], which is what lets a batching scheduler
@@ -74,9 +76,10 @@ impl StreamSession {
         &self.state
     }
 
-    /// Whether every resident state value is finite (see the NaN poisoning
-    /// hazard on [`StreamState::step`](crate::StreamState::step) — the
-    /// same recurrence runs here).
+    /// Whether every resident state value is finite. One NaN or ±∞ input
+    /// sample poisons the filter recurrence permanently (see the hazard on
+    /// [`InferModel::run_chunk_into`]), so watchdogs audit this between
+    /// chunks.
     pub fn state_is_finite(&self) -> bool {
         self.state.iter().all(|v| v.is_finite())
     }
@@ -246,6 +249,60 @@ mod tests {
             assert_eq!(session.steps_seen(), 24);
             assert_eq!(out, expected, "order {stages}: chunked ≠ one-shot");
         }
+    }
+
+    #[test]
+    fn streaming_matches_batched_final_logits() {
+        let m = model(2);
+        let steps = window(12);
+        let batched = m.run_batch(&steps, 1).unwrap();
+        let mut session = m.session();
+        let mut scratch = m.make_scratch(1).unwrap();
+        let mut last = vec![0.0; 2];
+        for step in steps.chunks_exact(2) {
+            session.run_chunk(step, &mut scratch, &mut last).unwrap();
+        }
+        assert_eq!(session.steps_seen(), 12);
+        assert_eq!(last, batched, "stream final logits must equal batched");
+    }
+
+    #[test]
+    fn reset_replays_identically() {
+        let m = model(2);
+        let steps: Vec<f64> = (0..10).map(|i| (i as f64 * 0.7).cos()).collect();
+        let mut session = m.session();
+        let mut scratch = m.make_scratch(1).unwrap();
+        let mut run = |session: &mut StreamSession| {
+            let mut last = vec![0.0; 2];
+            for step in steps.chunks_exact(2) {
+                session.run_chunk(step, &mut scratch, &mut last).unwrap();
+            }
+            last
+        };
+        let first = run(&mut session);
+        session.reset();
+        assert_eq!(session.steps_seen(), 0);
+        assert_eq!(session.state(), m.session().state());
+        let second = run(&mut session);
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn wrong_input_width_is_a_typed_error() {
+        let m = model(2);
+        let mut session = m.session();
+        let mut scratch = m.make_scratch(1).unwrap();
+        let mut out = vec![0.0; 2];
+        assert_eq!(
+            session.run_chunk(&[0.1, 0.2, 0.3], &mut scratch, &mut out),
+            Err(InferError::ShapeMismatch {
+                what: "steps",
+                expected: 2,
+                found: 3,
+            })
+        );
+        assert_eq!(session.steps_seen(), 0, "failed step must not advance");
+        assert_eq!(session.state(), m.session().state());
     }
 
     #[test]

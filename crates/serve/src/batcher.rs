@@ -274,13 +274,7 @@ impl MicroBatcher {
     /// buffers (cannot happen through [`Server`], which pins the spec via
     /// the registry).
     pub fn forward(&mut self, model: &InferModel) -> Result<(), ServingError> {
-        let used = self.t * self.max_batch * self.dim;
-        if let Some(g) = &mut self.guard {
-            g.reset();
-            for step in self.staging[..used].chunks_exact_mut(self.max_batch * self.dim) {
-                g.sanitize(step)?;
-            }
-        }
+        let used = self.sanitize_staged()?;
         model.run_batch_into(
             &self.staging[..used],
             self.max_batch,
@@ -304,13 +298,7 @@ impl MicroBatcher {
     /// buffers (cannot happen through [`Server`], which batches by engine
     /// identity).
     pub fn forward_resident(&mut self, model: &InferModel) -> Result<(), ServingError> {
-        let used = self.t * self.max_batch * self.dim;
-        if let Some(g) = &mut self.guard {
-            g.reset();
-            for step in self.staging[..used].chunks_exact_mut(self.max_batch * self.dim) {
-                g.sanitize(step)?;
-            }
-        }
+        let used = self.sanitize_staged()?;
         model.run_chunk_into(
             &self.staging[..used],
             self.max_batch,
@@ -318,6 +306,20 @@ impl MicroBatcher {
             &mut self.out,
         )?;
         Ok(())
+    }
+
+    /// Sanitizes every staged timestep in place through a freshly reset
+    /// guard (no-op without one) and returns the staged length.
+    fn sanitize_staged(&mut self) -> Result<usize, ServingError> {
+        let row = self.max_batch * self.dim;
+        let used = self.t * row;
+        if let Some(g) = &mut self.guard {
+            g.reset();
+            for step in self.staging[..used].chunks_exact_mut(row) {
+                g.sanitize(step)?;
+            }
+        }
+        Ok(used)
     }
 
     /// Gathers `session`'s resident filter state into scratch lane `lane`

@@ -3,6 +3,8 @@
 //! heap allocation in steady state — with or without the input guard, and
 //! on the resident-session path (`import_session → forward_resident →
 //! export_session`) just the same — under a counting global allocator.
+//! The single-stream path, one-step `StreamSession::run_chunk` calls with
+//! or without `InputGuard::sanitize` in front, is pinned the same way.
 //!
 //! This lives in its own test binary because `#[global_allocator]` is
 //! process-wide. The allocator counts only allocations made by a thread
@@ -14,7 +16,7 @@ use std::cell::Cell;
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::serve::ServeModel;
-use ptnc_infer::GuardConfig;
+use ptnc_infer::{GuardConfig, InputGuard};
 use ptnc_serve::{BatchConfig, MicroBatcher};
 use ptnc_tensor::init;
 
@@ -187,5 +189,65 @@ fn guarded_session_forward_is_allocation_free_in_steady_state() {
         session_steady_state_allocs(Some(GuardConfig::default_policy())),
         0,
         "guarded session forwards must not touch the heap"
+    );
+}
+
+/// The single-stream steady state: one timestep per
+/// `StreamSession::run_chunk` call on a batch-1 scratch, each frame
+/// sanitized by an `InputGuard` first when one is configured (the guarded
+/// frames include NaN and out-of-range readings, so repairs run too).
+fn one_step_session_allocs(guard: Option<GuardConfig>) -> u64 {
+    let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
+    let engine = ServeModel::from_live(&model).unwrap().into_shared_engine();
+    let mut guard = guard.map(|cfg| InputGuard::new(cfg, 1, DIM).unwrap());
+    let faulty = guard.is_some();
+    let frames: Vec<[f64; DIM]> = (0..48)
+        .map(|t| {
+            std::array::from_fn(|i| match (t * DIM + i) % 7 {
+                0 if faulty => f64::NAN,
+                3 if faulty => 1e9,
+                k => ((t * 97 + k) as f64 * 0.17).sin(),
+            })
+        })
+        .collect();
+    let mut session = engine.session();
+    let mut scratch = engine.make_scratch(1).unwrap();
+    let mut logits = vec![0.0; engine.spec().classes];
+
+    let mut round = || {
+        for frame in &frames {
+            let mut step = *frame;
+            if let Some(g) = &mut guard {
+                g.sanitize(&mut step).unwrap();
+            }
+            session.run_chunk(&step, &mut scratch, &mut logits).unwrap();
+        }
+        assert!(logits.iter().all(|v| v.is_finite()));
+    };
+
+    // Warm up once (lazy thread-locals, first-use buffers), then measure.
+    round();
+    count_allocs(|| {
+        for _ in 0..32 {
+            round();
+        }
+    })
+}
+
+#[test]
+fn one_step_session_chunk_is_allocation_free_in_steady_state() {
+    assert_eq!(
+        one_step_session_allocs(None),
+        0,
+        "one-step StreamSession::run_chunk must not touch the heap"
+    );
+}
+
+#[test]
+fn guarded_one_step_session_chunk_is_allocation_free_in_steady_state() {
+    assert_eq!(
+        one_step_session_allocs(Some(GuardConfig::default_policy())),
+        0,
+        "InputGuard::sanitize + one-step run_chunk must not touch the heap"
     );
 }

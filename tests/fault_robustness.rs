@@ -6,7 +6,7 @@
 //! counts.
 
 use adapt_pnc::faultsim::{FaultKind, FaultSchedule};
-use adapt_pnc::infer::{DegradePolicy, GuardConfig, Health, InputGuard};
+use adapt_pnc::infer::{DegradePolicy, GuardConfig, Health, InferModel, InputGuard, Scratch};
 use adapt_pnc::prelude::*;
 use adapt_pnc::robustness::to_jsonl;
 use adapt_pnc::{serve, telemetry};
@@ -28,6 +28,32 @@ fn seeded_steps(t: usize, batch: usize, dim: usize) -> Vec<Tensor> {
             Tensor::from_vec(&[batch, dim], data)
         })
         .collect()
+}
+
+/// Streams time-major `flat` input for `batch` lanes one timestep per
+/// call, each step sanitized by a fresh `cfg` guard before
+/// `run_chunk_into` on a fresh scratch. `after_step` sees the scratch
+/// after every step. Returns the last logits and the guard.
+fn sanitized_stream(
+    engine: &InferModel,
+    cfg: GuardConfig,
+    flat: &[f64],
+    batch: usize,
+    mut after_step: impl FnMut(&Scratch),
+) -> (Vec<f64>, InputGuard) {
+    let dim = engine.spec().input_dim;
+    let mut guard = InputGuard::new(cfg, batch, dim).unwrap();
+    let mut scratch = engine.make_scratch(batch).unwrap();
+    let mut last = vec![0.0; batch * engine.spec().classes];
+    for chunk in flat.chunks_exact(batch * dim) {
+        let mut step = chunk.to_vec();
+        guard.sanitize(&mut step).unwrap();
+        engine
+            .run_chunk_into(&step, batch, &mut scratch, &mut last)
+            .unwrap();
+        after_step(&scratch);
+    }
+    (last, guard)
 }
 
 /// A schedule carrying every fault kind at the given severity.
@@ -65,62 +91,64 @@ fn zero_severity_schedule_is_bit_identical_batched_and_streaming() {
         assert_eq!(clean, guarded, "{order:?}: guarded batched diverged");
         assert_eq!(guard.stats().repaired, 0);
 
-        let mut stream = engine
-            .guarded_stream(3, GuardConfig::default_policy())
-            .unwrap();
-        let mut last = Vec::new();
-        for s in &steps {
-            last = stream.step(&s.to_vec()).unwrap().to_vec();
-        }
+        let (last, guard) =
+            sanitized_stream(&engine, GuardConfig::default_policy(), &injected, 3, |_| {});
         assert_eq!(clean, last, "{order:?}: guarded streaming diverged");
-        assert_eq!(stream.health(), &[Health::Healthy; 3]);
+        assert_eq!(guard.health(), &[Health::Healthy; 3]);
     }
 }
 
-/// Regression for the documented `StreamState::step` hazard: one NaN
+/// Regression for the documented unguarded-stream hazard: one NaN
 /// sample poisons the unguarded recurrence forever, while the guarded
 /// path repairs it and recovers to healthy on clean data.
 #[test]
-fn unguarded_stream_poisons_where_guarded_recovers() {
+fn unguarded_session_poisons_where_guarded_recovers() {
     let model = model_with_order(FilterOrder::Second, 90);
-    let engine = serve::ServeModel::from_live(&model).unwrap().into_engine();
+    let engine = serve::ServeModel::from_live(&model)
+        .unwrap()
+        .into_shared_engine();
     let poisoned_step = [f64::NAN, 0.2];
     let clean_step = [0.4, -0.3];
+    let mut scratch = engine.make_scratch(1).unwrap();
+    let mut logits = vec![0.0; engine.spec().classes];
 
-    let mut raw = engine.stream(1).unwrap();
-    raw.step(&poisoned_step).unwrap();
+    let mut raw = engine.session();
+    raw.run_chunk(&poisoned_step, &mut scratch, &mut logits)
+        .unwrap();
     assert!(!raw.state_is_finite(), "one NaN must poison raw state");
-    for _ in 0..50 {
-        raw.step(&clean_step).unwrap();
+    for _ in 0..51 {
+        raw.run_chunk(&clean_step, &mut scratch, &mut logits)
+            .unwrap();
     }
     assert!(
-        raw.step(&clean_step).unwrap().iter().all(|v| v.is_nan()),
+        logits.iter().all(|v| v.is_nan()),
         "raw logits must stay NaN no matter how much clean data follows"
     );
     assert!(!raw.state_is_finite());
 
-    let mut guarded = engine
-        .guarded_stream(1, GuardConfig::default_policy())
-        .unwrap();
-    guarded.step(&poisoned_step).unwrap();
-    assert!(guarded.state_is_finite(), "guard let a NaN into the state");
-    let mut last = Vec::new();
-    for _ in 0..50 {
-        last = guarded.step(&clean_step).unwrap().to_vec();
-    }
+    let clean_run: Vec<f64> = clean_step.repeat(51);
+    let mut poisoned_run = clean_run.clone();
+    poisoned_run[..2].copy_from_slice(&poisoned_step);
+    let (last, guard) = sanitized_stream(
+        &engine,
+        GuardConfig::default_policy(),
+        &poisoned_run,
+        1,
+        |scratch| {
+            assert!(
+                scratch.states_are_finite(),
+                "guard let a NaN into the state"
+            )
+        },
+    );
     assert!(last.iter().all(|v| v.is_finite()));
-    assert_eq!(guarded.health(), &[Health::Healthy], "stream must recover");
-    assert_eq!(guarded.stats().nonfinite, 1);
+    assert_eq!(guard.health(), &[Health::Healthy], "stream must recover");
+    assert_eq!(guard.stats().nonfinite, 1);
 
     // After recovery the guarded stream converges to the clean trajectory:
-    // compare against a fresh stream fed only clean data for long enough
-    // that the poisoned step's transient has decayed.
-    let mut reference = engine.stream(1).unwrap();
-    let mut expect = Vec::new();
-    reference.step(&clean_step).unwrap(); // align step counts
-    for _ in 0..50 {
-        expect = reference.step(&clean_step).unwrap().to_vec();
-    }
+    // compare against the same number of steps of clean data only, long
+    // enough that the poisoned step's transient has decayed.
+    let expect = engine.run_batch(&clean_run, 1).unwrap();
     for (a, b) in last.iter().zip(&expect) {
         assert!((a - b).abs() < 1e-6, "guarded {a} vs clean {b}");
     }
@@ -163,15 +191,12 @@ fn guarded_inference_stays_finite_under_arbitrary_fault_schedules() {
             let mut guard = InputGuard::new(cfg, 2, 2).unwrap();
             let (logits, events) = telemetry::collect(|| {
                 let batched = engine.run_batch_guarded(&injected, 2, &mut guard).unwrap();
-                let mut stream = engine.guarded_stream(2, cfg).unwrap();
-                let mut last = Vec::new();
-                for chunk in injected.chunks_exact(4) {
-                    last = stream.step(chunk).unwrap().to_vec();
+                let (last, _) = sanitized_stream(&engine, cfg, &injected, 2, |scratch| {
                     assert!(
-                        stream.state_is_finite(),
+                        scratch.states_are_finite(),
                         "seed {schedule_seed} {policy:?}: state poisoned mid-stream"
                     );
-                }
+                });
                 assert_eq!(batched, last, "guarded stream must equal guarded batch");
                 batched
             });

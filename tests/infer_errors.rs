@@ -29,11 +29,6 @@ fn zero_batch_is_typed_everywhere() {
     let e = engine();
     assert_eq!(e.run_batch(&steps(4, 1), 0), Err(InferError::ZeroBatch));
     assert!(matches!(e.make_scratch(0), Err(InferError::ZeroBatch)));
-    assert!(matches!(e.stream(0), Err(InferError::ZeroBatch)));
-    assert!(matches!(
-        e.guarded_stream(0, GuardConfig::default_policy()),
-        Err(InferError::ZeroBatch)
-    ));
     assert!(matches!(
         InputGuard::new(GuardConfig::default_policy(), 0, DIM),
         Err(InferError::ZeroBatch)
@@ -113,33 +108,42 @@ fn mismatched_scratch_and_output_buffers_leave_out_untouched() {
 
 #[test]
 fn stream_steps_reject_bad_widths_without_corrupting_state() {
-    let e = engine();
-    let mut stream = e.stream(1).unwrap();
+    let e = std::sync::Arc::new(engine());
+    let mut session = e.session();
+    let mut scratch = e.make_scratch(1).unwrap();
+    let mut logits = vec![0.0; CLASSES];
     let good: Vec<f64> = steps(1, 1);
-    stream.step(&good).unwrap();
-    let before = stream.steps_seen();
+    session.run_chunk(&good, &mut scratch, &mut logits).unwrap();
+    let before = (session.steps_seen(), session.state().to_vec());
     assert_eq!(
-        stream.step(&good[..DIM - 1]),
+        session.run_chunk(&good[..DIM - 1], &mut scratch, &mut logits),
         Err(InferError::ShapeMismatch {
-            what: "step input",
+            what: "steps",
             expected: DIM,
             found: DIM - 1,
         })
     );
     assert_eq!(
-        stream.steps_seen(),
+        (session.steps_seen(), session.state().to_vec()),
         before,
-        "failed step advanced the clock"
+        "failed step advanced the stream"
     );
-    stream.step(&good).unwrap();
+    session.run_chunk(&good, &mut scratch, &mut logits).unwrap();
 
-    let mut guarded = e.guarded_stream(1, GuardConfig::default_policy()).unwrap();
-    guarded.step(&good).unwrap();
-    assert!(matches!(
-        guarded.step(&good[..1]),
-        Err(InferError::ShapeMismatch { .. })
-    ));
-    guarded.step(&good).unwrap();
+    let mut guard = InputGuard::new(GuardConfig::default_policy(), 1, DIM).unwrap();
+    let mut step = good.clone();
+    guard.sanitize(&mut step).unwrap();
+    let samples = guard.stats().samples;
+    assert_eq!(
+        guard.sanitize(&mut step[..1]),
+        Err(InferError::ShapeMismatch {
+            what: "guard input",
+            expected: DIM,
+            found: 1,
+        })
+    );
+    assert_eq!(guard.stats().samples, samples, "failed step was counted");
+    guard.sanitize(&mut step).unwrap();
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! 1e-9 for every filter order, batched and streaming, at nominal
 //! conditions and under seeded variation samples.
 
-use adapt_pnc::infer::VariationSample;
+use adapt_pnc::infer::{InferModel, VariationSample};
 use adapt_pnc::prelude::*;
 use adapt_pnc::serve;
 use ptnc_tensor::{init, Tensor};
@@ -37,6 +37,20 @@ fn assert_close(autograd: &[f64], graphfree: &[f64], what: &str) {
     }
 }
 
+/// Streams `steps` (each `[batch, dim]`) through a fresh scratch one
+/// timestep per call and returns the logits after the last step.
+fn stream_one_step_at_a_time(engine: &InferModel, steps: &[Tensor]) -> Vec<f64> {
+    let batch = steps[0].dims()[0];
+    let mut scratch = engine.make_scratch(batch).unwrap();
+    let mut last = vec![0.0; batch * engine.spec().classes];
+    for s in steps {
+        engine
+            .run_chunk_into(&s.to_vec(), batch, &mut scratch, &mut last)
+            .unwrap();
+    }
+    last
+}
+
 #[test]
 fn batched_parity_all_orders() {
     for (k, order) in ORDERS.into_iter().enumerate() {
@@ -57,11 +71,7 @@ fn streaming_parity_all_orders() {
         let steps = seeded_steps(11, 3, 2);
         let engine = serve::ServeModel::from_live(&model).unwrap().into_engine();
         let expected = model.forward_nominal(&steps).to_vec();
-        let mut stream = engine.stream(3).unwrap();
-        let mut last = Vec::new();
-        for s in &steps {
-            last = stream.step(&s.to_vec()).unwrap().to_vec();
-        }
+        let last = stream_one_step_at_a_time(&engine, &steps);
         assert_close(&expected, &last, &format!("{order:?} streaming"));
     }
 }
@@ -74,11 +84,7 @@ fn streaming_equals_batched_exactly() {
         let engine = serve::ServeModel::from_live(&model).unwrap().into_engine();
         let flat = serve::ServeModel::flatten_steps(&steps).unwrap();
         let batched = engine.run_batch(&flat, 2).unwrap();
-        let mut stream = engine.stream(2).unwrap();
-        let mut last = Vec::new();
-        for s in &steps {
-            last = stream.step(&s.to_vec()).unwrap().to_vec();
-        }
+        let last = stream_one_step_at_a_time(&engine, &steps);
         // Same recurrence, same arithmetic: bitwise equality, not just 1e-9.
         assert_eq!(batched, last, "{order:?}: stream must equal batch bitwise");
     }

@@ -5,9 +5,14 @@
 //! session state across the f64 wire format without drift.
 
 use adapt_pnc::faultsim::{FaultKind, FaultSchedule};
-use adapt_pnc::infer::{GuardConfig, InputGuard, Precision, QFormat};
+use std::sync::Arc;
+
+use adapt_pnc::infer::{
+    GuardConfig, InputGuard, Precision, QFormat, VariationDistribution, VariationSample,
+};
 use adapt_pnc::prelude::*;
 use adapt_pnc::serve::ServeModel;
+use adapt_pnc::variation::VariationConfig;
 use ptnc_tensor::{init, Tensor};
 
 const ORDERS: [FilterOrder; 3] = [FilterOrder::First, FilterOrder::Second, FilterOrder::Third];
@@ -206,6 +211,60 @@ fn quantized_lane_state_round_trips_through_wire_format() {
             assert!(
                 err < tol,
                 "{order:?} {precision}: resumed logits diverged by {err}"
+            );
+        }
+    }
+}
+
+/// A fresh scratch is a fresh stream: its lanes start at the instance's
+/// sampled V₀, not at zero. On a perturbed engine, stepping a window one
+/// timestep at a time through `make_scratch(B)` + `run_chunk_into` equals
+/// `run_batch` bitwise, and lane 0 equals a fresh session fed the same
+/// window — for every filter order and backend.
+#[test]
+fn fresh_scratch_streams_from_perturbed_v0_at_every_precision() {
+    let precisions = [
+        Precision::F64,
+        Precision::F32,
+        Precision::I32(QFormat::DEFAULT),
+    ];
+    let dist: VariationDistribution = (&VariationConfig::paper_default()).into();
+    for (k, order) in ORDERS.into_iter().enumerate() {
+        let model = model_with_order(order, 500 + k as u64);
+        let flat = ServeModel::flatten_steps(&seeded_steps(16)).unwrap();
+        let lane0: Vec<f64> = flat
+            .chunks_exact(BATCH * DIM)
+            .flat_map(|step| &step[..DIM])
+            .copied()
+            .collect();
+        for precision in precisions {
+            let nominal = engine_with(&model, precision);
+            let sample =
+                VariationSample::draw(nominal.spec(), &dist, &mut init::rng(600 + k as u64));
+            let engine = Arc::new(nominal.perturbed(&sample).unwrap());
+            let classes = engine.spec().classes;
+            let batched = engine.run_batch(&flat, BATCH).unwrap();
+
+            let mut scratch = engine.make_scratch(BATCH).unwrap();
+            let mut streamed = vec![0.0; BATCH * classes];
+            for step in flat.chunks_exact(BATCH * DIM) {
+                engine
+                    .run_chunk_into(step, BATCH, &mut scratch, &mut streamed)
+                    .unwrap();
+            }
+            assert_eq!(
+                streamed, batched,
+                "{order:?} {precision}: fresh scratch ≠ run_batch"
+            );
+
+            let mut session = engine.session();
+            let mut one = engine.make_scratch(1).unwrap();
+            let mut out = vec![0.0; classes];
+            session.run_chunk(&lane0, &mut one, &mut out).unwrap();
+            assert_eq!(
+                out,
+                streamed[..classes],
+                "{order:?} {precision}: lane 0 ≠ fresh session"
             );
         }
     }
