@@ -5,6 +5,7 @@
 //! export_session`) just the same — under a counting global allocator.
 //! The single-stream path, one-step `StreamSession::run_chunk` calls with
 //! or without `InputGuard::sanitize` in front, is pinned the same way.
+//! Every claim holds at each precision: f64, f32 and i32 fixed point.
 //!
 //! This lives in its own test binary because `#[global_allocator]` is
 //! process-wide. The allocator counts only allocations made by a thread
@@ -16,7 +17,7 @@ use std::cell::Cell;
 
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::serve::ServeModel;
-use ptnc_infer::{GuardConfig, InputGuard};
+use ptnc_infer::{GuardConfig, InferModel, InputGuard, Precision, QFormat};
 use ptnc_serve::{BatchConfig, MicroBatcher};
 use ptnc_tensor::init;
 
@@ -70,9 +71,25 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 const DIM: usize = 3;
 
-fn steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
+/// Every backend the hot-path claims must hold for.
+const PRECISIONS: [Precision; 3] = [
+    Precision::F64,
+    Precision::F32,
+    Precision::I32(QFormat::DEFAULT),
+];
+
+/// The test model compiled at `precision`.
+fn engine(precision: Precision) -> InferModel {
     let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
-    let engine = ServeModel::from_live(&model).unwrap().into_engine();
+    ServeModel::builder()
+        .precision(precision)
+        .from_live(&model)
+        .unwrap()
+        .into_engine()
+}
+
+fn steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+    let engine = engine(precision);
     let cfg = BatchConfig {
         max_batch: 8,
         max_steps: 64,
@@ -109,30 +126,31 @@ fn steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
 #[test]
 fn batched_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        steady_state_allocs(None),
-        0,
-        "unguarded begin/load/forward must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            steady_state_allocs(None, p),
+            0,
+            "{p}: unguarded begin/load/forward must not touch the heap"
+        );
+    }
 }
 
 #[test]
 fn guarded_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        steady_state_allocs(Some(GuardConfig::default_policy())),
-        0,
-        "guarded begin/load/forward must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            steady_state_allocs(Some(GuardConfig::default_policy()), p),
+            0,
+            "{p}: guarded begin/load/forward must not touch the heap"
+        );
+    }
 }
 
 /// The session steady state: resident states of more logical streams than
 /// lanes are gathered into the scratch, advanced by a no-reset forward,
 /// and scattered back — with zero allocations per batched forward.
-fn session_steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
-    use std::sync::Arc;
-
-    let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
-    let engine: Arc<_> = ServeModel::from_live(&model).unwrap().into_shared_engine();
+fn session_steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+    let engine = std::sync::Arc::new(engine(precision));
     let cfg = BatchConfig {
         max_batch: 8,
         max_steps: 64,
@@ -176,29 +194,32 @@ fn session_steady_state_allocs(guard: Option<GuardConfig>) -> u64 {
 
 #[test]
 fn session_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        session_steady_state_allocs(None),
-        0,
-        "import/forward_resident/export must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            session_steady_state_allocs(None, p),
+            0,
+            "{p}: import/forward_resident/export must not touch the heap"
+        );
+    }
 }
 
 #[test]
 fn guarded_session_forward_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        session_steady_state_allocs(Some(GuardConfig::default_policy())),
-        0,
-        "guarded session forwards must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            session_steady_state_allocs(Some(GuardConfig::default_policy()), p),
+            0,
+            "{p}: guarded session forwards must not touch the heap"
+        );
+    }
 }
 
 /// The single-stream steady state: one timestep per
 /// `StreamSession::run_chunk` call on a batch-1 scratch, each frame
 /// sanitized by an `InputGuard` first when one is configured (the guarded
 /// frames include NaN and out-of-range readings, so repairs run too).
-fn one_step_session_allocs(guard: Option<GuardConfig>) -> u64 {
-    let model = PrintedModel::adapt_pnc(DIM, 6, 4, &mut init::rng(7));
-    let engine = ServeModel::from_live(&model).unwrap().into_shared_engine();
+fn one_step_session_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+    let engine = std::sync::Arc::new(engine(precision));
     let mut guard = guard.map(|cfg| InputGuard::new(cfg, 1, DIM).unwrap());
     let faulty = guard.is_some();
     let frames: Vec<[f64; DIM]> = (0..48)
@@ -236,18 +257,22 @@ fn one_step_session_allocs(guard: Option<GuardConfig>) -> u64 {
 
 #[test]
 fn one_step_session_chunk_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        one_step_session_allocs(None),
-        0,
-        "one-step StreamSession::run_chunk must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            one_step_session_allocs(None, p),
+            0,
+            "{p}: one-step StreamSession::run_chunk must not touch the heap"
+        );
+    }
 }
 
 #[test]
 fn guarded_one_step_session_chunk_is_allocation_free_in_steady_state() {
-    assert_eq!(
-        one_step_session_allocs(Some(GuardConfig::default_policy())),
-        0,
-        "InputGuard::sanitize + one-step run_chunk must not touch the heap"
-    );
+    for p in PRECISIONS {
+        assert_eq!(
+            one_step_session_allocs(Some(GuardConfig::default_policy()), p),
+            0,
+            "{p}: InputGuard::sanitize + one-step run_chunk must not touch the heap"
+        );
+    }
 }
