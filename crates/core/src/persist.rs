@@ -78,6 +78,17 @@ pub enum RestoreError {
     /// The snapshot's `precision` hint is not a known precision name, or
     /// names a fixed-point format this architecture cannot execute.
     BadPrecision(String),
+    /// A filter stage that does not decay at the snapshot's `mu_nominal`
+    /// and stage R/C values (reported when compiling a snapshot for
+    /// inference).
+    UnstableFilter {
+        /// Layer index (0 = hidden).
+        layer: usize,
+        /// Stage index within the filter.
+        stage: usize,
+        /// Filter index within the layer.
+        filter: usize,
+    },
 }
 
 impl std::fmt::Display for RestoreError {
@@ -109,6 +120,14 @@ impl std::fmt::Display for RestoreError {
             RestoreError::BadPrecision(hint) => {
                 write!(f, "unusable precision hint {hint:?}")
             }
+            RestoreError::UnstableFilter {
+                layer,
+                stage,
+                filter,
+            } => write!(
+                f,
+                "filter {filter} of layer {layer} does not decay at stage {stage}"
+            ),
         }
     }
 }

@@ -218,6 +218,15 @@ impl ServeModelBuilder {
                 BuildError::NonFiniteParameter { index } => {
                     RestoreError::NonFiniteParameter { index }
                 }
+                BuildError::UnstableFilter {
+                    layer,
+                    stage,
+                    filter,
+                } => RestoreError::UnstableFilter {
+                    layer,
+                    stage,
+                    filter,
+                },
                 // ZeroDimension and future variants: a zero-sized snapshot
                 // cannot match any parameter count, so surface it as a count
                 // mismatch.
@@ -511,6 +520,37 @@ mod tests {
                 index: 2
             }))
         ));
+    }
+
+    /// Snapshots whose filters do not decay are refused, not served: a
+    /// coupling factor of 0.5 on a printable RC = 0.1 s stage (`a ≈ 1.67`),
+    /// a NaN one (JSON cannot carry NaN, so that case goes through
+    /// `from_snapshot`), and a finite `log R` whose `exp` overflows.
+    #[test]
+    fn non_decaying_filter_is_a_restore_error() {
+        let unstable = |err: ServeError| {
+            matches!(
+                err,
+                ServeError::Restore(RestoreError::UnstableFilter { layer: 0, .. })
+            )
+        };
+        let mut snap = snapshot(&model());
+        snap.mu_nominal = 0.5;
+        snap.parameters[3][0] = 1_000f64.ln(); // log R, layer 0, stage 0
+        snap.parameters[4][0] = 100e-6f64.ln(); // log C
+        let json = serde_json::to_string(&snap).unwrap();
+        assert!(unstable(ServeModel::from_json(&json).unwrap_err()));
+
+        let mut snap = snapshot(&model());
+        snap.mu_nominal = f64::NAN;
+        assert!(unstable(ServeModel::from_snapshot(&snap).unwrap_err()));
+
+        let mut snap = snapshot(&model());
+        snap.parameters[3][0] = 800.0; // log R, layer 0, stage 0
+        let json = serde_json::to_string(&snap).unwrap();
+        let err = ServeModel::from_json(&json).unwrap_err();
+        assert!(err.to_string().contains("does not decay"), "{err}");
+        assert!(unstable(err));
     }
 
     #[test]
