@@ -6,9 +6,10 @@
 //!
 //! A printed-sensor fleet is many cheap frontends and one shared compute
 //! tier: requests are short univariate/multivariate windows, and the
-//! compiled runtime is an order of magnitude faster per sequence when it
-//! runs tens of lanes per forward (`infer_throughput`'s batched path). The
-//! scheduler here buys that batch width at bounded latency cost:
+//! compiled runtime is cheaper per sequence when it runs many lanes per
+//! forward (stackbench's `--trace 1` times one forward as
+//! `infer.forward_us`). The scheduler here buys that batch width at
+//! bounded latency cost:
 //!
 //! - **Bounded queue, explicit shedding.** [`Server::submit`] never blocks
 //!   on a full queue; it returns [`ServingError::Backpressure`]
@@ -159,8 +160,9 @@ impl BatchConfig {
 /// The single-threaded batching core one worker owns: fixed staging /
 /// scratch / output buffers plus an optional input guard, all sized once.
 /// Public so the steady-state loop can be driven (and its allocation
-/// behavior measured) outside the thread pool — `serve_throughput` pins
-/// the 0-allocs-per-forward claim on exactly this type.
+/// behavior measured) outside the thread pool — `tests/zero_alloc.rs`
+/// pins the 0-allocs-per-forward claim on exactly this type, and
+/// stackbench reports it as `serve.batcher.allocs_per_forward`.
 ///
 /// The scratch is compiled at the model's kernel precision (f64 / f32 /
 /// i32 fixed-point) and sized exactly once, which is why the registry

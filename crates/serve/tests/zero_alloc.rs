@@ -88,10 +88,15 @@ fn engine(precision: Precision) -> InferModel {
         .into_engine()
 }
 
-fn steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 {
+/// Batch widths the forward claim must hold at: 1 is the flat single-lane
+/// path, 8 one full register-blocked crossbar block, and 33 adds the
+/// remainder lanes past the last full block.
+const WIDTHS: [usize; 3] = [1, 8, 33];
+
+fn steady_state_allocs(guard: Option<GuardConfig>, precision: Precision, width: usize) -> u64 {
     let engine = engine(precision);
     let cfg = BatchConfig {
-        max_batch: 8,
+        max_batch: width,
         max_steps: 64,
         guard,
         ..BatchConfig::default()
@@ -127,22 +132,26 @@ fn steady_state_allocs(guard: Option<GuardConfig>, precision: Precision) -> u64 
 #[test]
 fn batched_forward_is_allocation_free_in_steady_state() {
     for p in PRECISIONS {
-        assert_eq!(
-            steady_state_allocs(None, p),
-            0,
-            "{p}: unguarded begin/load/forward must not touch the heap"
-        );
+        for w in WIDTHS {
+            assert_eq!(
+                steady_state_allocs(None, p, w),
+                0,
+                "{p}, width {w}: unguarded begin/load/forward must not touch the heap"
+            );
+        }
     }
 }
 
 #[test]
 fn guarded_forward_is_allocation_free_in_steady_state() {
     for p in PRECISIONS {
-        assert_eq!(
-            steady_state_allocs(Some(GuardConfig::default_policy()), p),
-            0,
-            "{p}: guarded begin/load/forward must not touch the heap"
-        );
+        for w in WIDTHS {
+            assert_eq!(
+                steady_state_allocs(Some(GuardConfig::default_policy()), p, w),
+                0,
+                "{p}, width {w}: guarded begin/load/forward must not touch the heap"
+            );
+        }
     }
 }
 

@@ -119,6 +119,7 @@ impl Rig {
 /// bitwise-correct answer or a typed error, and each request resolves
 /// within the bounded retry budget.
 fn run_submit_schedule(test: &str, chaos: ChaosConfig, requests: usize) -> (usize, usize) {
+    let severity = chaos.severity;
     let rig = Rig::start(test, chaos);
     let mut client = rig.client();
     let mut ok = 0;
@@ -148,6 +149,13 @@ fn run_submit_schedule(test: &str, chaos: ChaosConfig, requests: usize) -> (usiz
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "{test}: request {i} exceeded the liveness bound"
+        );
+    }
+    // A schedule that fired nothing proved nothing about recovery.
+    if severity > 0.0 {
+        assert!(
+            rig.proxy.stats().total_faults() > 0,
+            "{test}: severity {severity} schedule injected no fault"
         );
     }
     rig.finish();
@@ -194,6 +202,9 @@ fn submit_grid_single_kinds() {
 
 #[test]
 fn submit_grid_all_kinds_mixed() {
+    // Each request relays about one chunk per direction, so 48 requests
+    // expect ~5 faults even at the low severity.
+    let requests = 48;
     for severity in [0.05, 0.25] {
         let (ok, _) = run_submit_schedule(
             &format!("grid-mixed-{}", (severity * 100.0) as u32),
@@ -203,11 +214,11 @@ fn submit_grid_all_kinds_mixed() {
                 kinds: FaultKind::ALL.to_vec(),
                 max_delay: Duration::from_millis(10),
             },
-            12,
+            requests,
         );
         assert!(
-            ok >= 6,
-            "mixed schedule at severity {severity}: only {ok}/12 survived"
+            ok >= requests / 2,
+            "mixed schedule at severity {severity}: only {ok}/{requests} survived"
         );
     }
 }
