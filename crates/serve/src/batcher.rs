@@ -19,9 +19,21 @@
 //!   Homogeneous traffic (the common fleet case: fixed sensor window)
 //!   forms full batches; mixed traffic degrades to smaller batches but
 //!   stays FIFO-fair and allocation-free to assemble.
-//! - **Batch window.** When the front run is still short of `max_batch`, a
-//!   worker waits up to `batch_window` for more arrivals before running a
-//!   partial batch — the classic latency/throughput knob.
+//! - **A batch window that pays for itself.** `batch_window` is an upper
+//!   bound on how long a short front run may wait for more arrivals, not a
+//!   fixed delay. Each worker measures two things: F̂, the lowest wall
+//!   time per timestep of a whole batch it has run, times the front's
+//!   length (forwards always run at full `max_batch` width and the
+//!   registry pins spec and precision, so that minimum holds for the
+//!   server's life); and ĝ, an EWMA (weight 1/8) of the gaps between
+//!   consecutive enqueues. Holding a run of n lanes for w costs n·w of
+//!   latency; running now makes a newcomer that arrives ĝ later wait
+//!   F̂ − ĝ and then pay its own forward. So a hold pays only while
+//!   (n+1)·w < F̂, and only when the next arrival is expected in time:
+//!   a warm worker runs at once when (n+1)·ĝ ≥ F̂, and otherwise holds
+//!   until the oldest arrival plus min(`batch_window`, F̂/(n+1)),
+//!   re-evaluating on every wake. A cold worker (no batch measured yet)
+//!   holds for the full window.
 //! - **Fixed buffers, zero steady-state allocation.** Every worker owns a
 //!   [`MicroBatcher`] whose staging, scratch, and output buffers are sized
 //!   once from (`max_steps`, `max_batch`, spec); forwards run at full
@@ -77,8 +89,12 @@ pub struct BatchConfig {
     pub max_steps: usize,
     /// Pending-request queue bound; submissions beyond it are shed.
     pub queue_capacity: usize,
-    /// How long a worker waits for a partial batch to fill before running
-    /// it anyway.
+    /// Longest a partial batch may wait, from its oldest request's
+    /// arrival, for more requests before it runs anyway. An upper bound,
+    /// not a fixed delay: once a worker has timed a batch (F̂, one
+    /// forward's wall time), it holds a run of n lanes only while n+1 mean
+    /// arrival gaps fit inside F̂, and for at most F̂/(n+1) (see the module
+    /// docs). `Duration::MAX` is a valid, untimed hold.
     pub batch_window: Duration,
     /// Worker threads.
     pub workers: usize,
@@ -503,7 +519,10 @@ impl Ticket {
         self,
         timeout: Duration,
     ) -> Result<Result<Completion, ServingError>, Ticket> {
-        let deadline = Instant::now() + timeout;
+        let Some(deadline) = Instant::now().checked_add(timeout) else {
+            // A timeout past the clock's range is an untimed wait.
+            return Ok(self.wait_outcome());
+        };
         let mut st = self.slot.state.lock().expect("slot lock poisoned");
         loop {
             match &*st {
@@ -591,12 +610,37 @@ impl BatchKey {
     }
 }
 
+/// The pending requests and the arrival-gap estimate, under one lock so
+/// every enqueue updates the estimate in queue order.
+struct Queue {
+    requests: VecDeque<Request>,
+    /// Arrival time of the latest enqueued request.
+    last_arrival: Option<Instant>,
+    /// ĝ: EWMA (weight 1/8) of the gaps between consecutive enqueues;
+    /// `None` until two requests have arrived.
+    gap: Option<Duration>,
+}
+
+impl Queue {
+    fn push(&mut self, request: Request) {
+        if let Some(last) = self.last_arrival {
+            let sample = request.enqueued.saturating_duration_since(last);
+            self.gap = Some(match self.gap {
+                Some(g) => g - g / 8 + sample / 8,
+                None => sample,
+            });
+        }
+        self.last_arrival = Some(request.enqueued);
+        self.requests.push_back(request);
+    }
+}
+
 struct Shared {
     registry: Arc<ModelRegistry>,
     cfg: BatchConfig,
     dim: usize,
     classes: usize,
-    queue: Mutex<VecDeque<Request>>,
+    queue: Mutex<Queue>,
     arrivals: Condvar,
     shutdown: AtomicBool,
     stats: StatsRegistry,
@@ -620,13 +664,13 @@ impl Shared {
             if self.shutdown.load(Ordering::Acquire) {
                 return Err(ServingError::ShuttingDown);
             }
-            if q.len() >= self.cfg.queue_capacity {
+            if q.requests.len() >= self.cfg.queue_capacity {
                 return Err(ServingError::Backpressure {
-                    depth: q.len(),
+                    depth: q.requests.len(),
                     capacity: self.cfg.queue_capacity,
                 });
             }
-            q.push_back(request);
+            q.push(request);
         }
         self.arrivals.notify_one();
         Ok(())
@@ -727,7 +771,11 @@ impl Server {
             cfg,
             dim: spec.input_dim,
             classes: spec.classes,
-            queue: Mutex::new(VecDeque::with_capacity(cfg.queue_capacity)),
+            queue: Mutex::new(Queue {
+                requests: VecDeque::with_capacity(cfg.queue_capacity),
+                last_arrival: None,
+                gap: None,
+            }),
             arrivals: Condvar::new(),
             shutdown: AtomicBool::new(false),
             stats: StatsRegistry::default(),
@@ -974,7 +1022,12 @@ impl Server {
 
     /// Requests currently queued (racy; for monitoring only).
     pub fn queue_depth(&self) -> usize {
-        self.shared.queue.lock().expect("queue lock poisoned").len()
+        self.shared
+            .queue
+            .lock()
+            .expect("queue lock poisoned")
+            .requests
+            .len()
     }
 
     /// Batches run so far.
@@ -1008,8 +1061,9 @@ impl Server {
     /// shutdown flag and fails everything queued, without waiting for the
     /// workers — callable through a shared reference, so any thread (a
     /// signal handler, a supervisor) can initiate shutdown while others
-    /// still hold the server. Workers exit once drained; `shutdown` or
-    /// `Drop` still joins them. Idempotent.
+    /// still hold the server. Workers finish the batch they are running,
+    /// take nothing more from the queue and exit; `shutdown` or `Drop`
+    /// still joins them. Idempotent.
     ///
     /// The flag is set before the drain and re-checked by every enqueue
     /// *inside* the queue-lock critical section, so a `submit` racing
@@ -1020,7 +1074,7 @@ impl Server {
         self.shared.shutdown.store(true, Ordering::Release);
         {
             let mut q = self.shared.queue.lock().expect("queue lock poisoned");
-            for r in q.drain(..) {
+            for r in q.requests.drain(..) {
                 r.fail(ServingError::ShuttingDown);
             }
         }
@@ -1062,50 +1116,100 @@ fn front_run(q: &VecDeque<Request>, key: &BatchKey, cap: usize) -> usize {
     q.iter().take(cap).take_while(|r| key.matches(r)).count()
 }
 
+/// How much longer a worker holds a front run of `n` lanes whose oldest
+/// request arrived `age` ago; zero means run it now. `forward` is F̂, the
+/// lowest measured wall time of a whole batch of this length (`None`
+/// before the worker has run one), and `gap` is ĝ, the mean arrival gap.
+///
+/// Holding n lanes for w costs n·w; running now makes a newcomer that
+/// arrives ĝ later wait F̂ − ĝ and then pay its own forward. A hold
+/// therefore pays only while (n+1)·w < F̂, and only if the next arrival is
+/// expected inside that: (n+1)·ĝ < F̂. `window` caps every hold.
+fn hold_for(
+    n: usize,
+    max_batch: usize,
+    window: Duration,
+    age: Duration,
+    forward: Option<Duration>,
+    gap: Option<Duration>,
+) -> Duration {
+    if n >= max_batch {
+        return Duration::ZERO;
+    }
+    let Some(forward) = forward else {
+        return window.saturating_sub(age);
+    };
+    let lanes = factor(n + 1);
+    if gap.is_some_and(|g| g.saturating_mul(lanes) >= forward) {
+        return Duration::ZERO;
+    }
+    window.min(forward / lanes).saturating_sub(age)
+}
+
 fn worker_loop(shared: &Shared, mut mb: MicroBatcher) {
     let max_batch = shared.cfg.max_batch;
     // Reused across iterations; holds at most `max_batch` requests.
     let mut batch: Vec<Request> = Vec::with_capacity(max_batch);
+    // Lowest wall time per timestep of a whole batch run so far.
+    let mut step_cost: Option<Duration> = None;
     'serve: loop {
         batch.clear();
         {
             let mut q = shared.queue.lock().expect("queue lock poisoned");
             loop {
-                if !q.is_empty() {
-                    break;
-                }
+                // Once shutdown begins, `begin_shutdown`'s drain fails
+                // whatever is still queued: a worker takes nothing more.
                 if shared.shutdown.load(Ordering::Acquire) {
                     return;
                 }
+                if !q.requests.is_empty() {
+                    break;
+                }
                 q = shared.arrivals.wait(q).expect("queue lock poisoned");
             }
-            let key = BatchKey::of(q.front().expect("nonempty queue"));
-            // Hold for the window while the front run is still short.
-            if shared.cfg.batch_window > Duration::ZERO {
-                let deadline = Instant::now() + shared.cfg.batch_window;
-                while front_run(&q, &key, max_batch) < max_batch
-                    && !shared.shutdown.load(Ordering::Acquire)
-                {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
+            let front = q.requests.front().expect("nonempty queue");
+            let key = BatchKey::of(front);
+            let forward = step_cost.map(|c| c.saturating_mul(factor(front.t)));
+            // Hold the short front run while another arrival can still
+            // save a forward; re-decide on every wake.
+            loop {
+                if shared.shutdown.load(Ordering::Acquire) {
+                    return;
+                }
+                let front = q.requests.front().expect("nonempty queue");
+                let now = Instant::now();
+                let hold = hold_for(
+                    front_run(&q.requests, &key, max_batch),
+                    max_batch,
+                    shared.cfg.batch_window,
+                    now.saturating_duration_since(front.enqueued),
+                    forward,
+                    q.gap,
+                );
+                if hold.is_zero() {
+                    break;
+                }
+                q = match now.checked_add(hold) {
+                    Some(_) => {
+                        shared
+                            .arrivals
+                            .wait_timeout(q, hold)
+                            .expect("queue lock poisoned")
+                            .0
                     }
-                    let (guard, _) = shared
-                        .arrivals
-                        .wait_timeout(q, deadline - now)
-                        .expect("queue lock poisoned");
-                    q = guard;
-                    // Another worker may have drained the queue meanwhile.
-                    match q.front() {
-                        Some(front) if key.matches(front) => {}
-                        _ => continue 'serve,
-                    }
+                    // A hold past the clock's range is an untimed wait.
+                    None => shared.arrivals.wait(q).expect("queue lock poisoned"),
+                };
+                // Another worker may have drained the queue meanwhile.
+                match q.requests.front() {
+                    Some(front) if key.matches(front) => {}
+                    _ => continue 'serve,
                 }
             }
             while batch.len() < max_batch {
-                match q.front() {
+                match q.requests.front() {
                     Some(front) if key.matches(front) => {
-                        batch.push(q.pop_front().expect("nonempty queue"));
+                        batch.push(q.requests.pop_front().expect("nonempty queue"));
                     }
                     _ => break,
                 }
@@ -1114,15 +1218,26 @@ fn worker_loop(shared: &Shared, mut mb: MicroBatcher) {
         if batch.is_empty() {
             continue;
         }
-        if batch[0].session.is_some() {
-            run_session_batch(shared, &mut mb, &mut batch);
+        let t = batch[0].t;
+        let started = Instant::now();
+        let ran = if batch[0].session.is_some() {
+            run_session_batch(shared, &mut mb, &mut batch)
         } else {
-            run_batch(shared, &mut mb, &mut batch);
+            run_batch(shared, &mut mb, &mut batch)
+        };
+        if ran {
+            let cost = started.elapsed() / factor(t);
+            step_cost = Some(step_cost.map_or(cost, |c| c.min(cost)));
         }
         // If more work is queued, other workers may be asleep after a
         // notify_one landed here while this worker was busy.
         shared.arrivals.notify_one();
     }
+}
+
+/// A lane or timestep count as a `Duration` multiplier or divisor.
+fn factor(count: usize) -> u32 {
+    u32::try_from(count).unwrap_or(u32::MAX)
 }
 
 fn finish_lane(mb: &MicroBatcher, lane: usize, r: &Request) -> Health {
@@ -1134,7 +1249,8 @@ fn finish_lane(mb: &MicroBatcher, lane: usize, r: &Request) -> Health {
     health
 }
 
-fn run_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) {
+/// Runs one one-shot batch; returns whether the forward ran.
+fn run_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) -> bool {
     let t = batch[0].t;
     let prepared = mb.begin(t).and_then(|()| {
         for (lane, r) in batch.iter().enumerate() {
@@ -1157,6 +1273,7 @@ fn run_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) {
                 let logits = mb.lane_logits(lane);
                 r.slot.complete(health, |buf| buf.copy_from_slice(logits));
             }
+            true
         }
         Err(e) => {
             // Shapes are validated at submit and the registry pins the
@@ -1166,6 +1283,7 @@ fn run_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) {
                 r.tenant.record_rejected();
                 r.fail(e);
             }
+            false
         }
     }
 }
@@ -1175,8 +1293,8 @@ fn run_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) {
 /// engine, scatter the advanced states back, and only then release each
 /// session's in-flight claim and complete its ticket (so a client that
 /// submits its next chunk upon ticket completion always observes the
-/// updated resident state).
-fn run_session_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) {
+/// updated resident state). Returns whether the forward ran.
+fn run_session_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Request>) -> bool {
     let t = batch[0].t;
     let model = Arc::clone(
         &batch[0]
@@ -1223,12 +1341,14 @@ fn run_session_batch(shared: &Shared, mb: &mut MicroBatcher, batch: &mut Vec<Req
                 let logits = mb.lane_logits(lane);
                 r.slot.complete(health, |buf| buf.copy_from_slice(logits));
             }
+            true
         }
         Err(e) => {
             for r in batch.drain(..) {
                 r.tenant.record_rejected();
                 r.fail(e);
             }
+            false
         }
     }
 }
@@ -1252,26 +1372,130 @@ mod tests {
         assert!(BatchConfig::default().validate().is_ok());
     }
 
-    #[test]
-    fn front_run_respects_cap_and_breaks_on_length_change() {
-        let slot = || {
-            Arc::new(Slot {
-                state: Mutex::new(SlotState::Pending(Vec::new())),
-                ready: Condvar::new(),
-            })
-        };
-        let stats = Arc::new(TenantStats::default());
-        let req = |t: usize| Request {
+    /// A one-shot request of `t` steps that arrived at `enqueued`.
+    fn request(t: usize, enqueued: Instant) -> Request {
+        Request {
             steps: vec![0.0; t],
             t,
-            slot: slot(),
-            tenant: Arc::clone(&stats),
-            enqueued: Instant::now(),
+            slot: Arc::new(Slot {
+                state: Mutex::new(SlotState::Pending(Vec::new())),
+                ready: Condvar::new(),
+            }),
+            tenant: Arc::new(TenantStats::default()),
+            enqueued,
             session: None,
-        };
+        }
+    }
+
+    #[test]
+    fn front_run_respects_cap_and_breaks_on_length_change() {
+        let now = Instant::now();
+        let req = |t: usize| request(t, now);
         let q: VecDeque<Request> = [req(4), req(4), req(4), req(2), req(4)].into();
         assert_eq!(front_run(&q, &BatchKey::OneShot { t: 4 }, 16), 3);
         assert_eq!(front_run(&q, &BatchKey::OneShot { t: 4 }, 2), 2);
         assert_eq!(front_run(&q, &BatchKey::OneShot { t: 2 }, 16), 0);
+    }
+
+    const US: Duration = Duration::from_micros(1);
+
+    #[test]
+    fn a_cold_worker_holds_for_the_full_window() {
+        let window = 200 * US;
+        assert_eq!(hold_for(1, 8, window, Duration::ZERO, None, None), window);
+        assert_eq!(hold_for(3, 8, window, 50 * US, None, Some(US)), 150 * US);
+        assert_eq!(hold_for(1, 8, window, 300 * US, None, None), Duration::ZERO);
+        let untimed = hold_for(1, 2, Duration::MAX, 5 * US, None, None);
+        assert!(Instant::now().checked_add(untimed).is_none());
+    }
+
+    #[test]
+    fn a_warm_worker_runs_at_once_when_the_next_arrival_is_too_late() {
+        let forward = Some(40 * US);
+        // (n+1)·ĝ ≥ F̂, with equality included.
+        assert_eq!(
+            hold_for(1, 8, 200 * US, Duration::ZERO, forward, Some(20 * US)),
+            Duration::ZERO
+        );
+        assert_eq!(
+            hold_for(3, 8, 200 * US, Duration::ZERO, forward, Some(11 * US)),
+            Duration::ZERO
+        );
+        assert_eq!(
+            hold_for(1, 8, Duration::MAX, Duration::ZERO, forward, Some(US * 500)),
+            Duration::ZERO
+        );
+    }
+
+    #[test]
+    fn an_open_gate_holds_for_the_lesser_of_window_and_forward_share() {
+        let forward = Some(40 * US);
+        // F̂/(n+1) below the window.
+        assert_eq!(
+            hold_for(1, 8, 200 * US, Duration::ZERO, forward, Some(5 * US)),
+            20 * US
+        );
+        assert_eq!(
+            hold_for(3, 8, 200 * US, 4 * US, forward, Some(2 * US)),
+            6 * US
+        );
+        // The window below F̂/(n+1).
+        assert_eq!(
+            hold_for(1, 8, 15 * US, 5 * US, forward, Some(5 * US)),
+            10 * US
+        );
+        // No gap measured yet: the cap alone bounds the hold.
+        assert_eq!(
+            hold_for(1, 8, 200 * US, Duration::ZERO, forward, None),
+            20 * US
+        );
+    }
+
+    #[test]
+    fn a_full_front_run_never_holds() {
+        for forward in [None, Some(40 * US)] {
+            assert_eq!(
+                hold_for(8, 8, Duration::MAX, Duration::ZERO, forward, Some(US)),
+                Duration::ZERO
+            );
+            assert_eq!(
+                hold_for(2, 2, 200 * US, Duration::ZERO, forward, None),
+                Duration::ZERO
+            );
+        }
+    }
+
+    #[test]
+    fn a_backlogged_front_older_than_its_cap_runs_at_once() {
+        // The gate is open (2·1 µs < 40 µs), but the oldest request has
+        // already waited past F̂/2.
+        assert_eq!(
+            hold_for(1, 8, 200 * US, 25 * US, Some(40 * US), Some(US)),
+            Duration::ZERO
+        );
+        assert_eq!(
+            hold_for(1, 8, Duration::MAX, 20 * US, Some(40 * US), Some(US)),
+            Duration::ZERO
+        );
+    }
+
+    #[test]
+    fn the_gap_estimate_is_an_eighth_weight_ewma_of_enqueue_gaps() {
+        let t0 = Instant::now();
+        let req = |at: Duration| request(1, t0 + at);
+        let mut q = Queue {
+            requests: VecDeque::new(),
+            last_arrival: None,
+            gap: None,
+        };
+        q.push(req(Duration::ZERO));
+        assert_eq!(q.gap, None);
+        q.push(req(800 * US));
+        assert_eq!(q.gap, Some(800 * US));
+        q.push(req(800 * US));
+        assert_eq!(q.gap, Some(700 * US));
+        q.push(req(2300 * US));
+        assert_eq!(q.gap, Some(800 * US));
+        assert_eq!(q.requests.len(), 4);
     }
 }

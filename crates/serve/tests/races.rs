@@ -374,9 +374,10 @@ fn wait_timeout_racing_begin_shutdown_never_hangs() {
                 Arc::new(ModelRegistry::open(&path).unwrap()),
                 BatchConfig {
                     max_batch: 8,
-                    // A wide window keeps requests parked in the queue so
-                    // the shutdown drain races live waiters, not
-                    // already-completed slots.
+                    // A cold worker (no batch timed yet) holds a short
+                    // front run for the whole window, so requests park in
+                    // the queue and the shutdown drain races live waiters,
+                    // not already-completed slots.
                     batch_window: Duration::from_millis(50),
                     workers: 1,
                     ..BatchConfig::default()

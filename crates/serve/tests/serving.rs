@@ -147,7 +147,9 @@ fn overload_sheds_with_backpressure_and_recovers() {
         BatchConfig {
             max_batch: 8,
             queue_capacity: 2,
-            // A long window keeps queued requests parked while we overfill.
+            // A cold worker (no batch timed yet) holds its first short
+            // front run for the whole window, so queued requests stay
+            // parked while we overfill.
             batch_window: Duration::from_millis(200),
             workers: 1,
             ..BatchConfig::default()
@@ -191,7 +193,9 @@ fn shutdown_fails_parked_requests_with_a_typed_error() {
         registry(&path),
         BatchConfig {
             max_batch: 64,
-            // Far longer than the test: requests stay parked in the window.
+            // Far longer than the test, and the worker is cold (no batch
+            // timed yet), so it holds the lone request for the whole
+            // window: the request is still parked at shutdown.
             batch_window: Duration::from_secs(30),
             workers: 1,
             ..BatchConfig::default()
@@ -201,6 +205,99 @@ fn shutdown_fails_parked_requests_with_a_typed_error() {
     let parked = server.submit("halting", &stream_steps(0, 4)).unwrap();
     server.shutdown();
     assert!(matches!(parked.wait(), Err(ServingError::ShuttingDown)));
+}
+
+#[test]
+fn lone_requests_on_a_warm_server_do_not_wait_out_the_window() {
+    let path = snapshot_file("warm");
+    let direct = ServeModel::from_file(&path).unwrap().into_engine();
+    let server = Server::start(
+        registry(&path),
+        BatchConfig {
+            max_batch: 2,
+            batch_window: Duration::from_secs(30),
+            workers: 1,
+            ..BatchConfig::default()
+        },
+    )
+    .unwrap();
+    // A full front run never holds, so this pair times the worker's
+    // first batch (F̂) without waiting out the window.
+    let pair: Vec<_> = (0..2)
+        .map(|s| server.submit("warm", &stream_steps(s, 8)).unwrap())
+        .collect();
+    for ticket in pair {
+        assert!(matches!(
+            ticket.wait_timeout(Duration::from_secs(5)),
+            Ok(Ok(_))
+        ));
+    }
+    // A warm worker holds a lone request at most F̂/2 past its arrival,
+    // whatever the arrival-gap estimate says, so none of these waits out
+    // the 30 s window.
+    for s in 2..22 {
+        let served = match server
+            .submit("warm", &stream_steps(s, 8))
+            .unwrap()
+            .wait_timeout(Duration::from_secs(5))
+        {
+            Ok(outcome) => outcome.unwrap(),
+            Err(_) => panic!("lone request {s} waited out the batch window"),
+        };
+        let expected = direct.run_batch(&stream_steps(s, 8), 1).unwrap();
+        assert_eq!(served, expected, "stream {s}: served ≠ direct");
+    }
+    assert_eq!(server.stats().snapshots()[0].requests, 22);
+    server.shutdown();
+}
+
+#[test]
+fn an_unbounded_batch_window_serves_pairs_and_parks_lone_requests() {
+    let path = snapshot_file("unbounded");
+    let direct = ServeModel::from_file(&path).unwrap().into_engine();
+    let cfg = BatchConfig {
+        max_batch: 2,
+        batch_window: Duration::MAX,
+        workers: 1,
+        ..BatchConfig::default()
+    };
+    let server = Server::start(registry(&path), cfg).unwrap();
+    let pair: Vec<_> = (0..2)
+        .map(|s| server.submit("pair", &stream_steps(s, 5)).unwrap())
+        .collect();
+    for (s, ticket) in pair.into_iter().enumerate() {
+        let served = match ticket.wait_timeout(Duration::from_secs(5)) {
+            Ok(outcome) => outcome.unwrap(),
+            Err(_) => panic!("a full pair under an unbounded window never ran"),
+        };
+        assert_eq!(served, direct.run_batch(&stream_steps(s, 5), 1).unwrap());
+    }
+    server.shutdown();
+
+    // A cold worker holds a lone request for the whole (unbounded) window,
+    // so it is still queued when shutdown drains the queue.
+    let server = Server::start(registry(&path), cfg).unwrap();
+    let parked = server.submit("lone", &stream_steps(0, 5)).unwrap();
+    server.begin_shutdown();
+    assert!(matches!(
+        parked.wait_timeout(Duration::MAX),
+        Ok(Err(ServingError::ShuttingDown))
+    ));
+    server.shutdown();
+}
+
+#[test]
+fn wait_timeout_accepts_an_unbounded_timeout() {
+    let path = snapshot_file("unbounded-wait");
+    let direct = ServeModel::from_file(&path).unwrap().into_engine();
+    let server = Server::start(registry(&path), BatchConfig::default()).unwrap();
+    let ticket = server.submit("t", &stream_steps(3, 7)).unwrap();
+    let served = match ticket.wait_timeout(Duration::MAX) {
+        Ok(outcome) => outcome.unwrap(),
+        Err(_) => panic!("an unbounded wait timed out"),
+    };
+    assert_eq!(served, direct.run_batch(&stream_steps(3, 7), 1).unwrap());
+    server.shutdown();
 }
 
 #[test]

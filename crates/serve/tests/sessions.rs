@@ -212,7 +212,9 @@ fn session_lifecycle_is_typed_errors_not_hangs() {
         Arc::new(ModelRegistry::open(&path).unwrap()),
         BatchConfig {
             max_batch: 64,
-            // Far longer than the test: submitted chunks stay parked.
+            // Far longer than the test, and the worker is cold (no batch
+            // timed yet), so it holds the lone chunk for the whole window:
+            // submitted chunks stay parked.
             batch_window: Duration::from_secs(30),
             ..BatchConfig::default()
         },

@@ -201,8 +201,9 @@ fn drain_finishes_inflight_work_and_says_going_away() {
     let server = start_server(
         "drain",
         BatchConfig {
-            // A wide batch window keeps the in-flight request in the
-            // scheduler long enough for the drain to land mid-request.
+            // The worker stays cold (no batch timed yet), so it holds the
+            // lone in-flight request for the whole window: long enough for
+            // the drain to land mid-request.
             batch_window: Duration::from_millis(40),
             max_batch: 4,
             ..BatchConfig::default()
@@ -216,7 +217,10 @@ fn drain_finishes_inflight_work_and_says_going_away() {
     .unwrap();
     let endpoint = wire.endpoint().clone();
     let window = steps(6, 0.2);
-    let oracle = server.infer("t", &window).unwrap();
+    // The oracle runs outside the server: a served batch would warm the
+    // worker, which then holds a lone request only for a fraction of one
+    // forward's time.
+    let oracle = server.registry().current().run_batch(&window, 1).unwrap();
 
     let inflight = {
         let window = window.clone();
@@ -226,9 +230,10 @@ fn drain_finishes_inflight_work_and_says_going_away() {
         })
     };
     // Start draining once the server has read the request frame, so the
-    // drain lands while the request is in flight (usually still inside
-    // the batch window). A fixed sleep raced the accept loop's 10 ms
-    // poll: a drain before the accept reset the connection instead.
+    // drain lands while the request is in flight (still inside the batch
+    // window unless the host stalls for 40 ms). A fixed sleep raced the
+    // accept loop's 10 ms poll: a drain before the accept reset the
+    // connection instead.
     let read_by = Instant::now() + Duration::from_secs(5);
     while wire.stats().frames_read == 0 {
         assert!(
