@@ -8,7 +8,7 @@
 
 use rand::Rng;
 
-use ptnc_tensor::Tensor;
+use ptnc_tensor::{PtpbValues, Tensor};
 
 use crate::pdk::{Pdk, LOGIT_SCALE};
 pub use crate::primitives::FilterOrder;
@@ -62,50 +62,56 @@ impl Ptpb {
     }
 
     /// Processes a stacked time-major sequence `[steps·batch, fan_in]`
-    /// through the block as **four** fused graph nodes (crossbar matmul,
-    /// bias/normalization, SO-LF scan, ptanh), instead of `4·steps` per-step
-    /// nodes. Values and parameter gradients are bit-identical to
-    /// [`Ptpb::forward_sequence`].
+    /// through the block as **one** fused graph node
+    /// ([`Tensor::ptpb_scan`]: crossbar, normalization, SO-LF scan and
+    /// ptanh) instead of `4·steps` per-step nodes. Values and parameter
+    /// gradients are bit-identical to [`Ptpb::forward_sequence`].
     pub fn forward_stacked(
         &self,
         stacked: &Tensor,
         steps: usize,
         noise: Option<&LayerNoise>,
     ) -> Tensor {
-        let eff = self.crossbar.effective(noise.map(|n| &n.crossbar));
-        let co = self.filters.coefficients(noise.map(|n| &n.filter));
         let eta = self.activation.effective_eta(noise.map(|n| &n.ptanh));
-        let weighted = Tensor::bias_div_scan(
-            &Tensor::matmul_scan(stacked, &eff.tw, steps),
-            &eff.tb,
-            &eff.g,
-            steps,
-        );
-        let filtered = self.filters.forward_scan(&weighted, steps, &co);
-        Tensor::ptanh_scan(&filtered, &eta[0], &eta[1], &eta[2], &eta[3], steps)
+        self.scan(stacked, steps, noise, Some(&eta))
     }
 
-    /// Final-layer variant of [`Ptpb::forward_stacked`]: only the last time
-    /// step survives the filter scan and feeds a single `[batch, fan_out]`
-    /// activation — interior read-outs are dead in the per-step graph, so
-    /// none are materialized.
+    /// Final-layer variant of [`Ptpb::forward_stacked`]: the fused node
+    /// stops at the filter's last time step, which feeds a single
+    /// `[batch, fan_out]` activation — interior read-outs are dead in the
+    /// per-step graph, so none are materialized.
     pub fn forward_stacked_last(
         &self,
         stacked: &Tensor,
         steps: usize,
         noise: Option<&LayerNoise>,
     ) -> Tensor {
+        let filtered = self.scan(stacked, steps, noise, None);
+        let eta = self.activation.effective_eta(noise.map(|n| &n.ptanh));
+        self.activation.forward_with(&filtered, &eta)
+    }
+
+    /// Materializes the block's effective values for one variation sample
+    /// and records the fused scan node over them.
+    fn scan(
+        &self,
+        stacked: &Tensor,
+        steps: usize,
+        noise: Option<&LayerNoise>,
+        eta: Option<&[Tensor]>,
+    ) -> Tensor {
         let eff = self.crossbar.effective(noise.map(|n| &n.crossbar));
         let co = self.filters.coefficients(noise.map(|n| &n.filter));
-        let eta = self.activation.effective_eta(noise.map(|n| &n.ptanh));
-        let weighted = Tensor::bias_div_scan(
-            &Tensor::matmul_scan(stacked, &eff.tw, steps),
-            &eff.tb,
-            &eff.g,
-            steps,
-        );
-        let filtered = self.filters.forward_scan_last(&weighted, steps, &co);
-        self.activation.forward_with(&filtered, &eta)
+        let layer = PtpbValues {
+            tw: &eff.tw,
+            tb: &eff.tb,
+            g: &eff.g,
+            a: &co.a,
+            b: &co.b,
+            v0: &co.v0,
+            eta,
+        };
+        Tensor::ptpb_scan(stacked, layer, steps)
     }
 
     /// All trainable parameters of the block.

@@ -235,32 +235,6 @@ impl FilterBank {
         out
     }
 
-    /// Filters a whole stacked sequence `[steps·batch, width]` (time-major)
-    /// as **one** graph node, returning every step's output. Bit-identical to
-    /// [`FilterBank::forward_sequence`] in values and gradients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stacked shape does not match the bank.
-    pub fn forward_scan(&self, stacked: &Tensor, steps: usize, co: &FilterCoefficients) -> Tensor {
-        Tensor::filter_scan(stacked, &co.a, &co.b, &co.v0, steps)
-    }
-
-    /// Like [`FilterBank::forward_scan`] but returns only the final time step
-    /// `[batch, width]` — the classification read-out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stacked shape does not match the bank.
-    pub fn forward_scan_last(
-        &self,
-        stacked: &Tensor,
-        steps: usize,
-        co: &FilterCoefficients,
-    ) -> Tensor {
-        Tensor::filter_scan_last(stacked, &co.a, &co.b, &co.v0, steps)
-    }
-
     /// The trainable parameters (log R then log C per stage).
     pub fn parameters(&self) -> Vec<Tensor> {
         let mut p = Vec::new();

@@ -92,18 +92,25 @@ pub fn compare(
         params_g.len(),
         "parameter lists must be paired"
     );
-    for p in params_f.iter().chain(params_g) {
-        p.zero_grad();
-    }
+    let clear = || {
+        for p in params_f.iter().chain(params_g) {
+            p.zero_grad();
+        }
+    };
+    clear();
     let (lf, lg) = (f(), g());
     assert_eq!(lf.len(), 1, "compare target must be scalar");
     assert_eq!(lg.len(), 1, "compare target must be scalar");
     assert_eq!(lf.item(), lg.item(), "loss values differ between variants");
+    // One variant at a time: the lists may share tensors (one model, two
+    // tapes), which would otherwise accumulate both passes into one sum.
     lf.backward();
+    let grads_f: Vec<Vec<Scalar>> = params_f.iter().map(Tensor::grad).collect();
+    clear();
     lg.backward();
-    for (pi, (pf, pg)) in params_f.iter().zip(params_g).enumerate() {
-        assert_eq!(pf.len(), pg.len(), "param {pi} length mismatch");
-        let (ga, gb) = (pf.grad(), pg.grad());
+    for (pi, (ga, pg)) in grads_f.iter().zip(params_g).enumerate() {
+        assert_eq!(ga.len(), pg.len(), "param {pi} length mismatch");
+        let gb = pg.grad();
         for i in 0..ga.len() {
             let (a, b) = (ga[i], gb[i]);
             let denom = a.abs().max(b.abs()).max(1.0);

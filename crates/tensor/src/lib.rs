@@ -42,6 +42,7 @@ pub mod init;
 pub mod pool;
 
 pub use graph::{is_grad_enabled, no_grad, NoGradGuard};
+pub use ops::scan::PtpbValues;
 pub use shape::{broadcast_shapes, Shape};
 pub use tensor::Tensor;
 

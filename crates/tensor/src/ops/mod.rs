@@ -13,9 +13,9 @@
 //! * [`shape_ops`] — reshape/transpose/select/concat/stack,
 //! * [`fused`] — single-node kernels for the printed-circuit hot paths
 //!   (`filter_step`, `ptanh`, `bias_div`),
-//! * [`scan`] — whole-sequence BPTT kernels (`matmul_scan`, `bias_div_scan`,
-//!   `filter_scan`, `filter_scan_last`, `ptanh_scan`) that record the entire
-//!   T-step recurrence as one node with analytic, bit-parity backward rules.
+//! * [`scan`] — the whole-sequence BPTT kernel `ptpb_scan`, which records a
+//!   printed layer's entire T-step crossbar → SO-LF → ptanh recurrence as
+//!   one node with an analytic, bit-parity backward rule.
 
 pub(crate) mod elementwise;
 pub(crate) mod extrema;
