@@ -94,8 +94,13 @@ struct ClientSession {
 
 #[derive(Debug, Clone, Copy)]
 enum Breaker {
-    Closed { failures: u32 },
-    Open { until: Instant },
+    Closed {
+        failures: u32,
+    },
+    /// `until: None` stays open: the cooldown outlasts any instant.
+    Open {
+        until: Option<Instant>,
+    },
     HalfOpen,
 }
 
@@ -376,7 +381,7 @@ impl WireClient {
         self.ensure_connected()?;
         let id = self.next_request;
         self.next_request += 1;
-        let deadline = Instant::now() + self.cfg.request_timeout;
+        let deadline = conn::deadline_after(self.cfg.request_timeout);
 
         let exchange: Result<Response, WireError> = (|| {
             req.encode(&mut self.payload_buf)?;
@@ -439,10 +444,18 @@ impl WireClient {
         match self.breaker {
             Breaker::Open { until } => {
                 let now = Instant::now();
-                if now < until {
-                    return Err(WireError::CircuitOpen {
-                        retry_in: until - now,
-                    });
+                match until {
+                    None => {
+                        return Err(WireError::CircuitOpen {
+                            retry_in: Duration::MAX,
+                        })
+                    }
+                    Some(until) if now < until => {
+                        return Err(WireError::CircuitOpen {
+                            retry_in: until - now,
+                        })
+                    }
+                    Some(_) => {}
                 }
                 self.breaker = Breaker::HalfOpen;
             }
@@ -478,7 +491,7 @@ impl WireClient {
             Breaker::HalfOpen => {
                 self.stats.breaker_trips += 1;
                 Breaker::Open {
-                    until: Instant::now() + self.cfg.breaker_cooldown,
+                    until: conn::deadline_after(self.cfg.breaker_cooldown),
                 }
             }
             Breaker::Closed { failures } => {
@@ -486,7 +499,7 @@ impl WireClient {
                 if failures >= self.cfg.breaker_threshold {
                     self.stats.breaker_trips += 1;
                     Breaker::Open {
-                        until: Instant::now() + self.cfg.breaker_cooldown,
+                        until: conn::deadline_after(self.cfg.breaker_cooldown),
                     }
                 } else {
                     Breaker::Closed { failures }

@@ -234,7 +234,7 @@ impl WireServer {
         if let Some(h) = self.accept_thread.take() {
             let _ = h.join();
         }
-        let deadline = Instant::now() + self.shared.cfg.drain_deadline;
+        let deadline = conn::deadline_after(self.shared.cfg.drain_deadline);
         let handlers = {
             let mut guard = self
                 .shared
@@ -247,7 +247,7 @@ impl WireServer {
             // Handlers poll the stop flag at idle_poll granularity and
             // bound every blocking wait, so they exit promptly; the
             // deadline is a backstop, not the expected path.
-            if Instant::now() < deadline {
+            if deadline.is_none_or(|d| Instant::now() < d) {
                 let _ = h.join();
             }
         }
@@ -303,7 +303,7 @@ fn admit(shared: &Arc<SharedState>, mut stream: WireStream) {
             .frame_type(),
             0,
             &payload,
-            Instant::now() + shared.cfg.write_deadline,
+            conn::deadline_after(shared.cfg.write_deadline),
         );
         shared.stats.frames_written.fetch_add(1, Ordering::Relaxed);
         stream.shutdown();
@@ -376,7 +376,7 @@ fn handle_connection(shared: &SharedState, mut stream: WireStream, conn_id: u64)
 
     match exit {
         ConnExit::Draining => {
-            let deadline = Instant::now() + shared.cfg.write_deadline;
+            let deadline = conn::deadline_after(shared.cfg.write_deadline);
             Response::GoingAway.encode(&mut payload_buf);
             if conn::write_frame(
                 &mut stream,
@@ -429,7 +429,7 @@ fn serve_frames(
             stream,
             first,
             shared.cfg.max_frame_size,
-            Instant::now() + shared.cfg.read_deadline,
+            conn::deadline_after(shared.cfg.read_deadline),
         );
         let (header, payload) = match frame {
             Ok(f) => f,
@@ -515,7 +515,7 @@ fn send_response(
         response.frame_type(),
         request_id,
         payload_buf,
-        Instant::now() + shared.cfg.write_deadline,
+        conn::deadline_after(shared.cfg.write_deadline),
     ) {
         Ok(()) => {
             shared.stats.frames_written.fetch_add(1, Ordering::Relaxed);

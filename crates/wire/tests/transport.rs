@@ -486,3 +486,97 @@ fn per_connection_counters_record_latency_and_guard_health() {
     assert_eq!(tenant.requests, 4);
     wire.shutdown();
 }
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `Duration::MAX` is a valid "no deadline" setting, not an `Instant`
+/// overflow: the client's request deadline is computed with
+/// `checked_add`, `None` meaning untimed.
+#[test]
+fn an_unbounded_request_timeout_completes_a_round_trip() {
+    let server = start_server("unbounded-request", BatchConfig::default());
+    let wire = WireServer::bind(
+        Arc::clone(&server),
+        &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        WireServerConfig::default(),
+    )
+    .unwrap();
+    let mut client = WireClient::new(
+        wire.endpoint().clone(),
+        WireClientConfig {
+            request_timeout: Duration::MAX,
+            max_retries: 0,
+            ..WireClientConfig::default()
+        },
+    );
+    let window = steps(7, 0.3);
+    let over_wire = client.submit("t", &window).unwrap();
+    let in_process = server.infer("t", &window).unwrap();
+    assert_eq!(bits(&over_wire.logits), bits(&in_process));
+    wire.shutdown();
+}
+
+/// An unbounded breaker cooldown keeps a tripped breaker open instead of
+/// overflowing when it trips.
+#[test]
+fn an_unbounded_breaker_cooldown_stays_open() {
+    // A port that was just free: connecting to it is refused.
+    let endpoint = {
+        let probe = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        Endpoint::Tcp(probe.local_addr().unwrap())
+    };
+    let mut client = WireClient::new(
+        endpoint,
+        WireClientConfig {
+            max_retries: 0,
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::MAX,
+            ..WireClientConfig::default()
+        },
+    );
+    let window = steps(3, 0.0);
+    assert!(client.submit("t", &window).is_err());
+    match client.submit("t", &window) {
+        Err(WireError::CircuitOpen { retry_in }) => assert_eq!(retry_in, Duration::MAX),
+        other => panic!("expected an open breaker, got {other:?}"),
+    }
+}
+
+/// A server whose read, write, request and drain deadlines are all
+/// `Duration::MAX` answers requests and still drains: the idle poll, not
+/// a deadline, is what notices the shutdown.
+#[test]
+fn unbounded_server_deadlines_answer_and_drain() {
+    let server = start_server("unbounded-server", BatchConfig::default());
+    let wire = WireServer::bind(
+        Arc::clone(&server),
+        &Endpoint::Tcp("127.0.0.1:0".parse().unwrap()),
+        WireServerConfig {
+            read_deadline: Duration::MAX,
+            write_deadline: Duration::MAX,
+            request_deadline: Duration::MAX,
+            drain_deadline: Duration::MAX,
+            ..WireServerConfig::default()
+        },
+    )
+    .unwrap();
+    let mut client = quick_client(wire.endpoint());
+    let window = steps(5, 0.9);
+    let over_wire = client.submit("t", &window).unwrap();
+    assert_eq!(
+        bits(&over_wire.logits),
+        bits(&server.infer("t", &window).unwrap())
+    );
+    // The connection is still open: the drain writes its farewell on the
+    // unbounded write deadline and joins the handler without a deadline.
+    wire.begin_shutdown();
+    let farewell_by = Instant::now() + Duration::from_secs(5);
+    while wire.stats().going_away_sent == 0 {
+        assert!(Instant::now() < farewell_by, "the drain never said goodbye");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    wire.shutdown();
+    assert!(client.submit("t", &window).is_err());
+}
