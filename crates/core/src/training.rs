@@ -12,6 +12,16 @@
 //! A conductance-sum (static power) regularizer follows the power-aware pNC
 //! training of prior work and produces the Table III power reduction.
 //!
+//! # The training tape
+//!
+//! Every forward pass records one graph node per printed layer
+//! ([`Tensor::ptpb_scan`] behind [`PrintedModel::forward`]): the
+//! crossbar, filter cascade and activation of all time steps, with one
+//! analytic BPTT adjoint. Only the small parameter → effective-value
+//! sub-graph, the read-out activation, the logit scale and the loss are
+//! ordinary per-op nodes. The tape is bitwise identical to the per-step
+//! oracle [`PrintedModel::forward_per_step`].
+//!
 //! # Parallel Monte-Carlo execution
 //!
 //! The `N` variation samples of each epoch evaluate in parallel through the
