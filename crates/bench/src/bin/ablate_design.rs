@@ -11,15 +11,15 @@
 //! ```
 
 use adapt_pnc::eval::{evaluate, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::models::FilterOrder;
 use adapt_pnc::power::model_power;
 use adapt_pnc::training::{train, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs};
+use ptnc_bench::{mean, print_row, print_rule, scale_from_env, selected_specs};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     eprintln!("ablate_design: scale = {scale:?}");
     let condition = EvalCondition::VariationAndPerturbed {
         config: VariationConfig::paper_default(),

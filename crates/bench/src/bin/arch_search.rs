@@ -6,12 +6,12 @@
 //! PNC_DATASETS=CBF cargo run -p ptnc-bench --release --bin arch_search
 //! ```
 
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::search::{architecture_search, pareto_front, SearchSpace};
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, scale_from_env, selected_specs};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     eprintln!("arch_search: scale = {scale:?}");
     let space = SearchSpace::compact();
     // Search candidates train briefly; the winner would be retrained at full

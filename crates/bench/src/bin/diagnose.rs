@@ -8,14 +8,14 @@
 //! ```
 
 use adapt_pnc::eval::{dataset_to_steps, evaluate, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::training::{train, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, scale_from_env, selected_specs};
 use ptnc_nn::metrics::ConfusionMatrix;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     eprintln!("diagnose: scale = {scale:?}");
     let widths = [10usize, 10, 9, 9, 9, 9];
     print_row(

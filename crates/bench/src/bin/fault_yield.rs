@@ -8,17 +8,17 @@
 //! ```
 
 use adapt_pnc::eval::dataset_to_steps;
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::faults::{yield_rate, FaultConfig};
 use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::pdk::Pdk;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, scale_from_env, selected_specs};
 use ptnc_tensor::init;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     let runner = ParallelRunner::from_env();
     eprintln!(
         "fault_yield: scale = {scale:?}, threads = {}",

@@ -8,16 +8,16 @@
 //! ```
 
 use adapt_pnc::ablation::{run_arm_with_runner, AblationArm};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::parallel::ParallelRunner;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{mean, print_row, print_rule, scale_from_env, selected_specs, with_run_manifest};
 
 fn main() {
     with_run_manifest("fig7_ablation", run);
 }
 
 fn run() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     let runner = ParallelRunner::from_env();
     eprintln!(
         "fig7_ablation: scale = {scale:?}, threads = {}",

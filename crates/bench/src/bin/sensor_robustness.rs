@@ -22,7 +22,7 @@ use adapt_pnc::persist::save_json_atomic;
 use adapt_pnc::prelude::*;
 use adapt_pnc::robustness::to_jsonl;
 use adapt_pnc::{experiments, robustness};
-use ptnc_bench::{print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{print_row, print_rule, scale_from_env, selected_specs, with_run_manifest};
 
 fn main() {
     with_run_manifest("sensor_robustness", run);
@@ -30,7 +30,7 @@ fn main() {
 
 fn run() {
     let smoke = std::env::var("PNC_SMOKE").is_ok_and(|v| v != "0");
-    let scale = experiments::ExperimentScale::from_env();
+    let scale = scale_from_env();
     let spec = selected_specs()[0];
     let seed = 0u64;
     eprintln!(

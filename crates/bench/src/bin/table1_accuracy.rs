@@ -7,16 +7,18 @@
 //! PNC_SEEDS=10 PNC_EPOCHS=400 cargo run ... # closer to paper fidelity
 //! ```
 
-use adapt_pnc::experiments::{table1_row_with_runner, ExperimentScale};
+use adapt_pnc::experiments::table1_row_with_runner;
 use adapt_pnc::parallel::ParallelRunner;
-use ptnc_bench::{fmt_pm, mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{
+    fmt_pm, mean, print_row, print_rule, scale_from_env, selected_specs, with_run_manifest,
+};
 
 fn main() {
     with_run_manifest("table1_accuracy", run);
 }
 
 fn run() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     let runner = ParallelRunner::from_env();
     eprintln!(
         "table1_accuracy: scale = {scale:?}, threads = {}",

@@ -18,15 +18,15 @@
 use std::time::Instant;
 
 use adapt_pnc::eval::dataset_to_steps;
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::models::PrintedModel;
 use adapt_pnc::training::{train, train_elman, TrainConfig};
-use ptnc_bench::{mean, print_row, print_rule, selected_specs};
+use ptnc_bench::{mean, print_row, print_rule, scale_from_env, selected_specs};
 use ptnc_nn::timing;
 use ptnc_tensor::init;
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     eprintln!("table2_runtime: scale = {scale:?}");
     // A handful of epochs is enough to time a steady-state epoch.
     let timing_epochs = 10;

@@ -6,14 +6,14 @@
 //! cargo run -p ptnc-bench --release --bin table3_hardware
 //! ```
 
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::hardware::{count_devices, HardwareReport};
 use adapt_pnc::power::model_power;
 use adapt_pnc::training::{train, TrainConfig};
-use ptnc_bench::{print_row, print_rule, selected_specs};
+use ptnc_bench::{print_row, print_rule, scale_from_env, selected_specs};
 
 fn main() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     eprintln!("table3_hardware: scale = {scale:?}");
     let pdk = adapt_pnc::pdk::Pdk::paper_default();
 

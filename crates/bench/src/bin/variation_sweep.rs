@@ -8,18 +8,18 @@
 //! ```
 
 use adapt_pnc::eval::{evaluate_with_runner, EvalCondition};
-use adapt_pnc::experiments::{prepare_split, ExperimentScale};
+use adapt_pnc::experiments::prepare_split;
 use adapt_pnc::parallel::ParallelRunner;
 use adapt_pnc::training::{train_with_runner, TrainConfig};
 use adapt_pnc::variation::VariationConfig;
-use ptnc_bench::{mean, print_row, print_rule, selected_specs, with_run_manifest};
+use ptnc_bench::{mean, print_row, print_rule, scale_from_env, selected_specs, with_run_manifest};
 
 fn main() {
     with_run_manifest("variation_sweep", run);
 }
 
 fn run() {
-    let scale = ExperimentScale::from_env();
+    let scale = scale_from_env();
     let runner = ParallelRunner::from_env();
     eprintln!(
         "variation_sweep: scale = {scale:?}, threads = {}",

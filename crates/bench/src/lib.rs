@@ -2,15 +2,15 @@
 //! tables and figures.
 //!
 //! Each binary prints its table/figure data to stdout in the paper's row
-//! order. Fidelity is controlled by the `PNC_*` environment variables
-//! documented in [`adapt_pnc::experiments::ExperimentScale`]; additionally
-//! `PNC_DATASETS` (comma-separated names) restricts the benchmark list and
-//! `PNC_TELEMETRY=<path>` dumps a run-manifest JSONL (see
-//! [`with_run_manifest`]).
+//! order. Fidelity is controlled by the `PNC_*` environment variables read
+//! by [`scale_from_env`]; additionally `PNC_DATASETS` (comma-separated
+//! names) restricts the benchmark list and `PNC_TELEMETRY=<path>` dumps a
+//! run-manifest JSONL (see [`with_run_manifest`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use adapt_pnc::experiments::ExperimentScale;
 use ptnc_datasets::{all_specs, BenchmarkSpec};
 
 /// System allocator wrapped with a process-wide allocation counter, so a
@@ -68,6 +68,25 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         Ok(v) => v
             .parse()
             .unwrap_or_else(|_| panic!("{name} must be an integer, got `{v}`")),
+    }
+}
+
+/// Reads the experiment scale from `PNC_SEEDS`, `PNC_EPOCHS`, `PNC_MC`,
+/// `PNC_TRIALS`, `PNC_TOPK` and `PNC_HIDDEN`, falling back to
+/// [`ExperimentScale::quick`] for each unset knob.
+///
+/// # Panics
+///
+/// Panics if a knob is set but is not a valid integer (see [`env_usize`]).
+pub fn scale_from_env() -> ExperimentScale {
+    let q = ExperimentScale::quick();
+    ExperimentScale {
+        seeds: env_usize("PNC_SEEDS", q.seeds).max(1),
+        epochs: env_usize("PNC_EPOCHS", q.epochs).max(1),
+        mc_samples: env_usize("PNC_MC", q.mc_samples).max(1),
+        variation_trials: env_usize("PNC_TRIALS", q.variation_trials).max(1),
+        top_k: env_usize("PNC_TOPK", q.top_k).max(1),
+        hidden: env_usize("PNC_HIDDEN", q.hidden).max(2),
     }
 }
 
@@ -170,6 +189,13 @@ mod tests {
         if std::env::var("PNC_DATASETS").is_err() {
             assert_eq!(selected_specs().len(), 15);
         }
+    }
+
+    #[test]
+    fn scale_from_env_respects_defaults() {
+        // No PNC_* variables set in the test environment ⇒ quick defaults.
+        let s = scale_from_env();
+        assert!(s.seeds >= 1 && s.epochs >= 1 && s.hidden >= 2);
     }
 
     #[test]

@@ -128,11 +128,13 @@ pub fn evaluate_with_runner(
     match condition {
         EvalCondition::Nominal => {
             let (steps, labels) = dataset_to_steps(ds);
+            let _tape_off = ptnc_tensor::no_grad();
             accuracy(&model.forward_nominal(&steps), &labels)
         }
         EvalCondition::Perturbed { strength } => {
             let perturbed = perturb_dataset(ds, *strength, seed);
             let (steps, labels) = dataset_to_steps(&perturbed);
+            let _tape_off = ptnc_tensor::no_grad();
             accuracy(&model.forward_nominal(&steps), &labels)
         }
         EvalCondition::Variation { config, trials } => {

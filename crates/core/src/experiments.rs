@@ -1,9 +1,9 @@
-//! Shared experiment harness: fidelity scaling via environment variables and
-//! the per-dataset pipeline behind Tables I–III.
+//! Shared experiment harness: fidelity scaling and the per-dataset pipeline
+//! behind Tables I–III.
 //!
 //! The paper trains 10 seeds per dataset with unbounded epochs; the default
-//! scale here finishes in minutes while preserving every comparison. Raise
-//! the fidelity with:
+//! scale here finishes in minutes while preserving every comparison. The
+//! experiment binaries (`ptnc-bench`) raise the fidelity with:
 //!
 //! | variable | meaning | default |
 //! |----------|---------|---------|
@@ -23,7 +23,8 @@ use crate::training::{
     top_k_indices, train, train_elman_with_runner, train_with_runner, TrainConfig,
 };
 
-/// Experiment fidelity knobs (see module docs for the environment mapping).
+/// Experiment fidelity knobs (see module docs for the environment mapping the
+/// experiment binaries apply).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExperimentScale {
     /// Training seeds per dataset.
@@ -50,26 +51,6 @@ impl ExperimentScale {
             variation_trials: 5,
             top_k: 2,
             hidden: 8,
-        }
-    }
-
-    /// Reads the scale from `PNC_*` environment variables, falling back to
-    /// [`ExperimentScale::quick`].
-    pub fn from_env() -> Self {
-        let get = |name: &str, default: usize| -> usize {
-            std::env::var(name)
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(default)
-        };
-        let q = Self::quick();
-        ExperimentScale {
-            seeds: get("PNC_SEEDS", q.seeds).max(1),
-            epochs: get("PNC_EPOCHS", q.epochs).max(1),
-            mc_samples: get("PNC_MC", q.mc_samples).max(1),
-            variation_trials: get("PNC_TRIALS", q.variation_trials).max(1),
-            top_k: get("PNC_TOPK", q.top_k).max(1),
-            hidden: get("PNC_HIDDEN", q.hidden).max(2),
         }
     }
 }
@@ -205,13 +186,6 @@ pub fn table1_row_with_runner(
 mod tests {
     use super::*;
     use ptnc_datasets::all_specs;
-
-    #[test]
-    fn scale_from_env_respects_defaults() {
-        // No PNC_* variables set in the test environment ⇒ quick defaults.
-        let s = ExperimentScale::from_env();
-        assert!(s.seeds >= 1 && s.epochs >= 1 && s.hidden >= 2);
-    }
 
     #[test]
     fn prepare_split_partitions() {

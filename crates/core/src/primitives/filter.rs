@@ -283,19 +283,6 @@ impl FilterBank {
             })
             .collect()
     }
-
-    /// Nominal discrete decay factors `a = RC/(μRC + Δt)` per stage.
-    pub fn decay_factors(&self) -> Vec<Vec<f64>> {
-        self.time_constants()
-            .iter()
-            .map(|stage| {
-                stage
-                    .iter()
-                    .map(|rc| rc / (self.mu_nominal * rc + self.dt))
-                    .collect()
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]

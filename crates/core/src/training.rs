@@ -552,7 +552,10 @@ pub fn train_with_runner(
         .with_runner(runner.clone());
     let report = trainer.run(model.parameters(), &mut objective);
 
-    let val_accuracy = accuracy(&model.forward_nominal(&val_steps), &val_labels);
+    let val_accuracy = {
+        let _tape_off = ptnc_tensor::no_grad();
+        accuracy(&model.forward_nominal(&val_steps), &val_labels)
+    };
     TrainedModel {
         model,
         report,
@@ -622,12 +625,6 @@ pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
     });
     idx.truncate(k);
     idx
-}
-
-/// Samples a uniform value in the inclusive range — convenience used by the
-/// experiment harness for jittered hyper-parameters.
-pub fn uniform_in(lo: f64, hi: f64, rng: &mut impl Rng) -> f64 {
-    rng.gen_range(lo..=hi)
 }
 
 #[cfg(test)]

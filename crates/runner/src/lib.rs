@@ -11,22 +11,20 @@
 //!   the result of a fan-out is **bit-identical regardless of thread
 //!   count** — parallelism never changes which random numbers a work item
 //!   sees, only when they are drawn.
-//! * [`ParallelRunner`] — a rayon-backed fan-out primitive owning thread
-//!   pool sizing (`PNC_THREADS` / `RAYON_NUM_THREADS`), ordered result
-//!   collection, panic capture with item context, and optional progress
-//!   reporting on stderr.
+//! * [`ParallelRunner`] — a fan-out primitive on `std::thread::scope`
+//!   owning thread-count sizing (`PNC_THREADS`), ordered result
+//!   collection and panic capture with item context.
 //!
 //! The layer deliberately parallelizes *above* the tensor level: tensors
 //! in this workspace are single-threaded by design (`Rc`-based autodiff
 //! graphs), so work items rebuild thread-local replicas from plain `Send`
 //! data and return plain `Send` results.
 
+use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Derives an independent RNG seed for one unit of work.
 ///
@@ -77,65 +75,45 @@ pub mod streams {
     pub const FAULTS: u64 = 0x6661_756C;
 }
 
-/// A deterministic rayon-backed fan-out runner.
+/// A deterministic fan-out runner on scoped threads.
 ///
 /// The runner owns three policies so call sites don't re-implement them:
 ///
-/// 1. **Thread-pool sizing.** Explicit [`ParallelRunner::with_threads`]
-///    wins, then `PNC_THREADS`, then `RAYON_NUM_THREADS`, then available
-///    parallelism. Thread count never affects results, only wall-clock.
+/// 1. **Thread count.** Explicit [`ParallelRunner::with_threads`] wins,
+///    then `PNC_THREADS`, then available parallelism. Thread count never
+///    affects results, only wall-clock.
 /// 2. **Ordered collection.** Outputs come back in item order.
 /// 3. **Panic capture.** A panicking item aborts the fan-out and re-raises
 ///    on the caller thread, prefixed with the item index for diagnosis.
 #[derive(Debug, Clone)]
 pub struct ParallelRunner {
     threads: usize,
-    progress: Option<String>,
-}
-
-impl Default for ParallelRunner {
-    fn default() -> Self {
-        Self::from_env()
-    }
 }
 
 impl ParallelRunner {
-    /// Runner sized from the environment (`PNC_THREADS`, then
-    /// `RAYON_NUM_THREADS`, then available parallelism).
+    /// Runner sized from the environment (`PNC_THREADS`, then available
+    /// parallelism).
     #[must_use]
     pub fn from_env() -> Self {
         let threads = std::env::var("PNC_THREADS")
             .ok()
             .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&n| n > 0)
-            .unwrap_or_else(rayon::current_num_threads);
-        ParallelRunner {
-            threads: threads.max(1),
-            progress: None,
-        }
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get));
+        ParallelRunner { threads }
     }
 
     /// A strictly serial runner (one thread) — useful in tests comparing
     /// serial and parallel execution.
     #[must_use]
     pub fn serial() -> Self {
-        ParallelRunner {
-            threads: 1,
-            progress: None,
-        }
+        ParallelRunner { threads: 1 }
     }
 
     /// Overrides the thread count (`0` is clamped to 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Enables progress reporting on stderr under the given label.
-    #[must_use]
-    pub fn with_progress(mut self, label: impl Into<String>) -> Self {
-        self.progress = Some(label.into());
         self
     }
 
@@ -148,6 +126,9 @@ impl ParallelRunner {
     /// Maps `items` through `f` in parallel, returning outputs in item
     /// order. `f` receives the item index alongside the item.
     ///
+    /// Items are split into at most [`threads`](Self::threads) contiguous
+    /// chunks, one scoped thread each; a single chunk runs on the caller.
+    ///
     /// When a telemetry scope is active on the calling thread
     /// ([`ptnc_telemetry::collect`]), each work item's events are captured
     /// on its worker and re-emitted here in item order, tagged with an
@@ -156,42 +137,47 @@ impl ParallelRunner {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic of any work item, prefixed with its index.
+    /// Re-raises the panic of the first failing work item (in item order),
+    /// prefixed with its index.
     pub fn run<I, O, F>(&self, items: Vec<I>, f: F) -> Vec<O>
     where
         I: Send,
         O: Send,
         F: Fn(usize, I) -> O + Sync,
     {
-        let total = items.len();
         let capture = ptnc_telemetry::is_enabled();
-        let done = AtomicUsize::new(0);
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(self.threads)
-            .build()
-            .expect("vendored thread pool cannot fail to build");
-        let indexed: Vec<(usize, I)> = items.into_iter().enumerate().collect();
+        let run_item = |(index, item): (usize, I)| {
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                if capture {
+                    ptnc_telemetry::collect(|| f(index, item))
+                } else {
+                    (f(index, item), Vec::new())
+                }
+            }))
+            .map_err(|payload| format!("work item {index}: {}", panic_text(&payload)))
+        };
         type Outcome<O> = Result<(O, Vec<ptnc_telemetry::Event>), String>;
-        let results: Vec<Outcome<O>> = pool.install(|| {
-            indexed
-                .into_par_iter()
-                .map(|(index, item)| {
-                    let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        if capture {
-                            ptnc_telemetry::collect(|| f(index, item))
-                        } else {
-                            (f(index, item), Vec::new())
-                        }
-                    }))
-                    .map_err(|payload| format!("work item {index}: {}", panic_text(&payload)));
-                    if let Some(label) = &self.progress {
-                        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        eprintln!("[{label}] {n}/{total}");
-                    }
-                    out
-                })
-                .collect()
-        });
+        let len = items.len();
+        let threads = self.threads.min(len);
+        let mut indexed = items.into_iter().enumerate().peekable();
+        let results: Vec<Outcome<O>> = if threads <= 1 {
+            indexed.map(run_item).collect()
+        } else {
+            let chunk = len.div_ceil(threads);
+            let run_item = &run_item;
+            std::thread::scope(|s| {
+                let mut handles = Vec::with_capacity(threads);
+                while indexed.peek().is_some() {
+                    let part: Vec<(usize, I)> = indexed.by_ref().take(chunk).collect();
+                    handles
+                        .push(s.spawn(move || part.into_iter().map(run_item).collect::<Vec<_>>()));
+                }
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                    .collect()
+            })
+        };
         results
             .into_iter()
             .enumerate()
@@ -205,19 +191,6 @@ impl ParallelRunner {
                 out
             })
             .collect()
-    }
-
-    /// Fans out `count` independent seeded work items: item `index` gets
-    /// the RNG for `(master_seed, stream, index)` — see [`seed_split`].
-    pub fn run_seeded<O, F>(&self, master_seed: u64, stream: u64, count: usize, f: F) -> Vec<O>
-    where
-        O: Send,
-        F: Fn(usize, &mut StdRng) -> O + Sync,
-    {
-        self.run((0..count).collect(), |index, _| {
-            let mut rng = rng_for(master_seed, stream, index as u64);
-            f(index, &mut rng)
-        })
     }
 }
 
@@ -269,19 +242,48 @@ mod tests {
 
     #[test]
     fn identical_results_across_thread_counts() {
-        let work = |_: usize, rng: &mut StdRng| -> Vec<f64> {
-            (0..32).map(|_| rng.gen_range(-1.0..1.0)).collect()
+        let draws = |runner: ParallelRunner| -> Vec<Vec<f64>> {
+            runner.run((0..20).collect(), |index, _x: i32| {
+                let mut rng = rng_for(7, streams::EVAL_TRIAL, index as u64);
+                (0..32).map(|_| rng.gen_range(-1.0..1.0)).collect()
+            })
         };
-        let serial = ParallelRunner::serial().run_seeded(7, streams::EVAL_TRIAL, 20, work);
+        let serial = draws(ParallelRunner::serial());
         for threads in [2, 3, 8] {
-            let parallel = ParallelRunner::serial().with_threads(threads).run_seeded(
-                7,
-                streams::EVAL_TRIAL,
-                20,
-                work,
-            );
+            let parallel = draws(ParallelRunner::serial().with_threads(threads));
             assert_eq!(serial, parallel, "results diverged at {threads} threads");
         }
+    }
+
+    #[test]
+    fn chunking_edge_cases_keep_item_order() {
+        // (items, threads): empty, fewer items than threads, and chunks of
+        // uneven length (9 items on 2 threads split 5 + 4).
+        for (items, threads) in [(0, 8), (1, 8), (3, 8), (9, 2)] {
+            let work = |i: usize, x: u64| (i, x.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let serial = ParallelRunner::serial().run((0..items).collect(), work);
+            let parallel = ParallelRunner::serial()
+                .with_threads(threads)
+                .run((0..items).collect(), work);
+            assert_eq!(parallel.len(), items as usize);
+            assert!(parallel.iter().enumerate().all(|(i, &(idx, _))| idx == i));
+            assert_eq!(serial, parallel, "{items} items on {threads} threads");
+        }
+        // Items 2 and 6 fall in different chunks on 2 threads; the re-raised
+        // panic names the first failing item in item order.
+        let payload = std::panic::catch_unwind(|| {
+            ParallelRunner::serial()
+                .with_threads(2)
+                .run((0..8).collect(), |i, _x: i32| {
+                    if i == 2 || i == 6 {
+                        panic!("injected failure");
+                    }
+                    i
+                })
+        })
+        .expect_err("a failing item must panic the fan-out");
+        let message = panic_text(&*payload);
+        assert!(message.starts_with("work item 2:"), "{message}");
     }
 
     #[test]

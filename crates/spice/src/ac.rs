@@ -214,11 +214,6 @@ impl AcPoint {
     pub fn magnitude_db(&self) -> f64 {
         20.0 * self.value.abs().log10()
     }
-
-    /// Phase in degrees.
-    pub fn phase_deg(&self) -> f64 {
-        self.value.arg().to_degrees()
-    }
 }
 
 /// The result of a logarithmic AC sweep.
